@@ -11,6 +11,11 @@ Two entry points cover the library's use cases:
 Inputs are frozen dataclasses (:class:`SimulationConfig`), so a config
 can be shared, hashed and reused across runs without defensive copies.
 
+Every simulation, whether from these calls, the experiment providers,
+the process pool or the service, goes through :func:`run_simulation`.
+It resolves the config, finds the workload's compiled trace once
+through a :class:`WorkloadSource`, and picks the replay or live engine.
+
     from repro.api import SimulationConfig, simulate
     from repro.workloads import BENCHMARKS, build_workload
 
@@ -25,10 +30,10 @@ inside the functions, keeping ``import repro`` fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping
 
-from repro.config import GPUConfig, TCORConfig
+from repro.config import DEFAULT_GPU, GPUConfig, TCORConfig
 from repro.obs.registry import MetricsRegistry, Observation
 
 if TYPE_CHECKING:
@@ -40,8 +45,10 @@ __all__ = [
     "Report",
     "RunResult",
     "SimulationConfig",
+    "WorkloadSource",
     "connect",
     "run_experiment",
+    "run_simulation",
     "simulate",
     "simulation_cache",
 ]
@@ -77,6 +84,29 @@ class SimulationConfig:
         if self.kind not in _KINDS:
             raise ValueError(
                 f"kind must be one of {_KINDS}, got {self.kind!r}")
+
+    def resolved(self) -> "SimulationConfig":
+        """The same simulation with every default made explicit.
+
+        ``gpu`` and, for TCOR, ``tcor`` are filled in the way the
+        simulator fills them; ``tile_cache_bytes`` is folded into the
+        one it sizes (the baseline's unified Tile Cache, or TCOR's
+        split); fields the kind ignores take their defaults.  Configs
+        that run the same simulation therefore resolve to equal values,
+        and every result key is derived from this form.
+        """
+        gpu = self.gpu or DEFAULT_GPU
+        if self.kind == "baseline":
+            if self.tile_cache_bytes is not None:
+                gpu = gpu.with_tile_cache_size(self.tile_cache_bytes)
+            return SimulationConfig(
+                kind="baseline", include_background=self.include_background,
+                rendering_elimination=self.rendering_elimination, gpu=gpu)
+        tcor = self.tcor
+        if tcor is None:
+            tcor = (TCORConfig.for_total_size(self.tile_cache_bytes)
+                    if self.tile_cache_bytes is not None else TCORConfig())
+        return replace(self, tile_cache_bytes=None, tcor=tcor, gpu=gpu)
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,55 +153,139 @@ class Report:
 _ENGINES = ("auto", "live", "replay")
 
 
-def simulate(workload: "Workload",
+class WorkloadSource:
+    """One workload as every simulation path finds it.
+
+    ``identity`` (a :class:`~repro.workloads.suite.WorkloadIdentity`)
+    says what the workload is built from.  What a run needs is found
+    lazily and at most once: the compiled trace comes from the workload
+    memo, then from ``store.get_trace``, then from a build + compile
+    that is persisted with ``store.put_trace``; the workload itself is
+    built only when the live engine or a compile needs it.  ``store``
+    is duck-typed as :class:`~repro.parallel.store.DiskCache`;
+    ``None`` keeps everything in memory.
+    """
+
+    def __init__(self, identity, store=None,
+                 workload: "Workload | None" = None) -> None:
+        self.identity = identity
+        self.store = store
+        self._workload = workload
+        self._trace = None
+
+    @classmethod
+    def of(cls, workload: "Workload") -> "WorkloadSource":
+        """A source over an already built workload (no store)."""
+        from repro.workloads.suite import WorkloadIdentity
+
+        return cls(WorkloadIdentity.of(workload), workload=workload)
+
+    def workload(self) -> "Workload":
+        if self._workload is None:
+            self._workload = self.identity.build()
+            self._workload.compiled_trace = self._trace
+        return self._workload
+
+    def trace(self):
+        """The workload's compiled access trace (memo, store, compile)."""
+        if self._trace is None:
+            if self._workload is not None:
+                self._trace = self._workload.compiled_trace
+            if self._trace is None and self.store is not None:
+                self._trace = self.store.get_trace(self.identity)
+            if self._trace is None:
+                from repro.replay import compiled_trace_for
+
+                self._trace = compiled_trace_for(self.workload())
+                if self.store is not None:
+                    self.store.put_trace(self.identity, self._trace)
+            elif self._workload is not None:
+                self._workload.compiled_trace = self._trace
+        return self._trace
+
+
+def run_simulation(source: WorkloadSource, config: SimulationConfig,
+                   obs: Observation | None = None,
+                   engine: str = "auto") -> "SystemResult":
+    """The one simulation path: every caller reaches the engines here.
+
+    ``config`` is resolved once.  ``engine="auto"`` replays the
+    source's compiled trace through the fast kernels (bit-identical to
+    the live simulator) unless replay is not allowed (a tracer is
+    attached, ``REPRO_NO_REPLAY`` is set) or the kernels refuse the
+    configuration; then the live simulator runs on the source's
+    workload, built only at that point.  ``"live"`` forces the
+    reference simulator; ``"replay"`` forces the kernels and raises
+    :class:`~repro.replay.ReplayUnsupportedError` when they cannot
+    honor the run.  Metrics are registered into ``obs`` when given.
+    """
+    from repro import replay
+    from repro.tcor import system
+
+    if engine not in _ENGINES:
+        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
+    config = config.resolved()
+    if engine != "live":
+        try:
+            reason = replay.replay_allowed(obs)
+            if reason is not None:
+                raise replay.ReplayUnsupportedError(reason)
+            if config.kind == "baseline":
+                outcome = replay.replay_baseline(
+                    source.trace(), gpu=config.gpu,
+                    include_background=config.include_background,
+                    rendering_elimination=config.rendering_elimination)
+            else:
+                outcome = replay.replay_tcor(
+                    source.trace(), gpu=config.gpu, tcor=config.tcor,
+                    l2_enhancements=config.l2_enhancements,
+                    interleaved_lists=config.interleaved_lists,
+                    include_background=config.include_background,
+                    rendering_elimination=config.rendering_elimination)
+        except replay.ReplayUnsupportedError:
+            if engine == "replay":
+                raise
+        else:
+            if obs is not None:
+                replay.observe_replay(obs, outcome)
+            return outcome.result
+    if config.kind == "baseline":
+        return system.simulate_baseline(
+            source.workload(), gpu=config.gpu,
+            include_background=config.include_background,
+            rendering_elimination=config.rendering_elimination, obs=obs)
+    return system.simulate_tcor(
+        source.workload(), gpu=config.gpu, tcor=config.tcor,
+        l2_enhancements=config.l2_enhancements,
+        interleaved_lists=config.interleaved_lists,
+        include_background=config.include_background,
+        rendering_elimination=config.rendering_elimination, obs=obs)
+
+
+def simulate(workload: "Workload | WorkloadSource",
              config: SimulationConfig | None = None,
              *, obs: Observation | None = None,
              engine: str = "auto") -> RunResult:
     """Run ``workload`` through the organization ``config`` describes.
 
+    ``workload`` is a built :class:`~repro.workloads.suite.Workload`,
+    or a :class:`WorkloadSource` that finds the workload and its
+    compiled trace lazily.  ``engine`` is :func:`run_simulation`'s:
+    ``"auto"`` (the default) replays when the run is eligible and falls
+    back to the live simulator when it is not, ``"live"`` and
+    ``"replay"`` force one engine.
+
     ``obs`` threads a caller-owned :class:`Observation` through the run
     (to share a registry across several simulations, or to attach a
     tracer); by default each call gets a fresh one, so ``metrics`` and
     ``invariant_failures`` cover exactly this run.
-
-    ``engine`` selects the execution path: ``"auto"`` (the default)
-    replays the workload's compiled access trace through the fast
-    kernels when the run is eligible — bit-identical results and
-    metrics, order-of-magnitude faster — and falls back to the live
-    simulator when it is not (a tracer is attached, ``REPRO_NO_REPLAY``
-    is set, or the configuration steps outside the kernels' model);
-    ``"live"`` forces the reference simulator; ``"replay"`` forces the
-    kernels and raises :class:`~repro.replay.ReplayUnsupportedError`
-    when they cannot honor the run.
     """
-    from repro.tcor.system import simulate_baseline, simulate_tcor
-
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
+    source = (workload if isinstance(workload, WorkloadSource)
+              else WorkloadSource.of(workload))
     config = config if config is not None else SimulationConfig()
     if obs is None:
         obs = Observation(MetricsRegistry())
-    result = None
-    if engine != "live":
-        from repro.replay import try_replay
-
-        result = try_replay(workload, config, obs,
-                            require=(engine == "replay"))
-    if result is None:
-        if config.kind == "baseline":
-            result = simulate_baseline(
-                workload, gpu=config.gpu,
-                tile_cache_bytes=config.tile_cache_bytes,
-                include_background=config.include_background,
-                rendering_elimination=config.rendering_elimination, obs=obs)
-        else:
-            result = simulate_tcor(
-                workload, gpu=config.gpu, tcor=config.tcor,
-                total_tile_cache_bytes=config.tile_cache_bytes,
-                l2_enhancements=config.l2_enhancements,
-                interleaved_lists=config.interleaved_lists,
-                include_background=config.include_background,
-                rendering_elimination=config.rendering_elimination, obs=obs)
+    result = run_simulation(source, config, obs, engine)
     return RunResult(result=result, config=config,
                      metrics=obs.snapshot(),
                      invariant_failures=tuple(obs.registry.check_invariants()))

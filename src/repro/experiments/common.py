@@ -2,22 +2,23 @@
 
 Workloads and full-system simulations are expensive, and several figures
 reuse the same (benchmark, tile-cache size, organization) run — a
-:class:`SimulationCache` memoizes them across experiment modules within
-one runner invocation.
+:class:`SimulationProvider` memoizes them across experiment modules
+within one runner invocation.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
+from repro.api import SimulationConfig, WorkloadSource, run_simulation
 from repro.config import TCORConfig
-from repro.tcor.system import SystemResult, simulate_baseline, simulate_tcor
+from repro.tcor.system import SystemResult
 from repro.workloads.suite import (
     BENCHMARK_ORDER,
     BENCHMARKS,
     Workload,
-    build_workload,
+    WorkloadIdentity,
 )
 
 KIB = 1024
@@ -68,36 +69,83 @@ def format_table(result: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
+def _size_component(tag: str, size_bytes: int) -> str:
+    """``tc64`` for whole KiB budgets, ``tc80000b`` otherwise."""
+    if size_bytes % KIB == 0:
+        return f"{tag}{size_bytes // KIB}"
+    return f"{tag}{size_bytes}b"
+
+
 class SimulationProvider(ABC):
     """The interface experiment modules simulate through.
 
-    Both the serial :class:`SimulationCache` and
-    :class:`repro.parallel.ParallelSimulationCache` implement it, so the
-    experiment driver type-checks against one contract instead of
-    duck-typing two classes.  ``prefetch`` and ``export_metrics`` have
-    conservative defaults; providers with a fan-out engine or a memo
-    table override them.
+    The serial :class:`SimulationCache`, the pool-backed
+    :class:`repro.parallel.ParallelSimulationCache` and the remote
+    :class:`repro.serve.handle.ServeHandle` implement it.  The base
+    class owns the workload sources, the memo table and the metrics
+    export; a provider supplies :meth:`_run`, which produces one
+    simulation the memo does not hold, and optionally a ``prefetch``
+    fan-out.  Memo keys are :meth:`baseline_key`/:meth:`tcor_key`
+    tuples, which also name the ``sim.*`` metrics.
     """
 
-    scale: float
-    aliases: tuple[str, ...]
+    # The store workload sources load and persist compiled traces
+    # through (duck-typed as repro.parallel.store.DiskCache), if any.
+    disk = None
+
+    def __init__(self, scale: float = DEFAULT_SCALE,
+                 aliases: tuple[str, ...] | None = None) -> None:
+        self.scale = scale
+        self.aliases = tuple(aliases) if aliases else BENCHMARK_ORDER
+        self._sources: dict[str, WorkloadSource] = {}
+        self._systems: dict[tuple, SystemResult] = {}
 
     @abstractmethod
+    def _run(self, alias: str, config: SimulationConfig) -> SystemResult:
+        """One simulation the memo does not hold yet."""
+
+    def source(self, alias: str) -> WorkloadSource:
+        """The (memoized) workload source for one benchmark alias."""
+        source = self._sources.get(alias)
+        if source is None:
+            source = WorkloadSource(
+                WorkloadIdentity(BENCHMARKS[alias], self.scale),
+                store=self.disk)
+            self._sources[alias] = source
+        return source
+
     def workload(self, alias: str) -> Workload:
         """The (memoized) workload for one benchmark alias."""
+        return self.source(alias).workload()
 
-    @abstractmethod
+    def workloads(self) -> list[Workload]:
+        return [self.workload(alias) for alias in self.aliases]
+
+    def _simulation(self, alias: str, config: SimulationConfig
+                    ) -> SystemResult:
+        """The memoized result of ``config`` on one benchmark.
+
+        The memo key names the budget, the TCOR split and the L2
+        variant only, so ``config`` must otherwise keep the defaults,
+        as ``baseline``/``tcor`` and the experiment job matrix do."""
+        key = self.memo_key(alias, config)
+        result = self._systems.get(key)
+        if result is None:
+            result = self._systems[key] = self._run(alias, config)
+        return result
+
     def baseline(self, alias: str, tile_cache_bytes: int) -> SystemResult:
         """Baseline simulation at one Tile Cache budget."""
+        return self._simulation(alias, SimulationConfig(
+            kind="baseline", tile_cache_bytes=tile_cache_bytes))
 
-    @abstractmethod
     def tcor(self, alias: str, tile_cache_bytes: int,
              l2_enhancements: bool = True,
              tcor_config: TCORConfig | None = None) -> SystemResult:
         """TCOR simulation at one total Tile Cache budget."""
-
-    def workloads(self) -> list[Workload]:
-        return [self.workload(alias) for alias in self.aliases]
+        return self._simulation(alias, SimulationConfig(
+            kind="tcor", tile_cache_bytes=tile_cache_bytes,
+            l2_enhancements=l2_enhancements, tcor=tcor_config))
 
     def prefetch(self, names=None) -> int:
         """Eagerly simulate what the named experiments will need.
@@ -106,112 +154,6 @@ class SimulationProvider(ABC):
         no fan-out engine and simulates lazily instead.
         """
         return 0
-
-    def export_metrics(self, registry) -> int:
-        """Export finished simulations as ``sim.*`` registry gauges.
-
-        Returns the number of metrics exported (0 when the provider
-        keeps no results to export).
-        """
-        return 0
-
-
-def _size_component(tag: str, size_bytes: int) -> str:
-    """``tc64`` for whole KiB budgets, ``tc80000b`` otherwise."""
-    if size_bytes % KIB == 0:
-        return f"{tag}{size_bytes // KIB}"
-    return f"{tag}{size_bytes}b"
-
-
-class SimulationCache(SimulationProvider):
-    """Memoizes workloads and system simulations across experiments.
-
-    ``disk``, when given, is a persistent second level (duck-typed as
-    :class:`repro.parallel.store.DiskCache`): in-memory misses probe it
-    before simulating, and fresh results are written through, so
-    repeated runner/benchmark invocations skip re-simulation entirely.
-
-    ``use_replay`` (default on) runs cache-model simulations through
-    the compiled-trace replay kernels when eligible — bit-identical
-    results, compiled once per workload and amortized over every
-    configuration; the live simulator remains the fallback (and the
-    only path when a tracer is active or ``REPRO_NO_REPLAY`` is set).
-    ``trace_cache`` persists compiled traces through ``disk`` (when the
-    store supports them), so warm invocations skip geometry + binning
-    entirely.
-    """
-
-    def __init__(self, scale: float = DEFAULT_SCALE,
-                 aliases: tuple[str, ...] | None = None,
-                 disk=None, use_replay: bool = True,
-                 trace_cache: bool = True) -> None:
-        self.scale = scale
-        self.aliases = tuple(aliases) if aliases else BENCHMARK_ORDER
-        self.disk = disk
-        self.use_replay = use_replay
-        self.trace_cache = trace_cache
-        self._workloads: dict[str, Workload] = {}
-        self._systems: dict[tuple, SystemResult] = {}
-        self._traces: dict[str, object] = {}
-
-    def workload(self, alias: str) -> Workload:
-        if alias not in self._workloads:
-            self._workloads[alias] = build_workload(BENCHMARKS[alias],
-                                                    scale=self.scale)
-            trace = self._traces.get(alias)
-            if trace is not None:
-                self._workloads[alias].compiled_trace = trace
-        return self._workloads[alias]
-
-    # -- replay fast path ----------------------------------------------
-    def _compiled_trace(self, alias: str):
-        """Get-compile-or-load the workload's access trace (memoized).
-
-        A persisted trace (disk stores are duck-typed; older stores
-        without ``get_trace`` are simply skipped) avoids building the
-        workload at all — geometry and binning are the expensive part.
-        """
-        from repro.replay import compiled_trace_for
-
-        trace = self._traces.get(alias)
-        if trace is not None:
-            return trace
-        workload = self._workloads.get(alias)
-        if workload is not None and workload.compiled_trace is not None:
-            trace = workload.compiled_trace
-        if trace is None and self.trace_cache and self.disk is not None:
-            get_trace = getattr(self.disk, "get_trace", None)
-            if get_trace is not None:
-                trace = get_trace(BENCHMARKS[alias], self.scale)
-        if trace is None:
-            trace = compiled_trace_for(self.workload(alias))
-            if self.trace_cache and self.disk is not None:
-                put_trace = getattr(self.disk, "put_trace", None)
-                if put_trace is not None:
-                    put_trace(BENCHMARKS[alias], self.scale, trace)
-        self._traces[alias] = trace
-        if alias in self._workloads:
-            self._workloads[alias].compiled_trace = trace
-        return trace
-
-    def _replay(self, alias: str, kind: str, **kwargs) -> SystemResult | None:
-        """One replayed simulation, or ``None`` -> caller runs live."""
-        if not self.use_replay:
-            return None
-        from repro import replay
-
-        if replay.replay_allowed() is not None:
-            return None
-        try:
-            trace = self._compiled_trace(alias)
-            if kind == "baseline":
-                return replay.replay_baseline(trace, **kwargs).result
-            return replay.replay_tcor(trace, **kwargs).result
-        except replay.ReplayUnsupportedError:
-            return None
-
-    def workloads(self) -> list[Workload]:
-        return [self.workload(alias) for alias in self.aliases]
 
     @staticmethod
     def baseline_key(alias: str, tile_cache_bytes: int) -> tuple:
@@ -227,53 +169,16 @@ class SimulationCache(SimulationProvider):
                 tcor.primitive_list_cache.size_bytes,
                 tcor.attribute_buffer_bytes, l2_enhancements)
 
-    def baseline(self, alias: str, tile_cache_bytes: int) -> SystemResult:
-        key = self.baseline_key(alias, tile_cache_bytes)
-        result = self._systems.get(key)
-        if result is not None:
-            return result
-        if self.disk is not None:
-            result = self.disk.get_baseline(BENCHMARKS[alias], self.scale,
-                                            tile_cache_bytes)
-            if result is not None:
-                self._systems[key] = result
-                return result
-        result = self._replay(alias, "baseline",
-                              tile_cache_bytes=tile_cache_bytes)
-        if result is None:
-            result = simulate_baseline(self.workload(alias),
-                                       tile_cache_bytes=tile_cache_bytes)
-        self._systems[key] = result
-        if self.disk is not None:
-            self.disk.put_baseline(BENCHMARKS[alias], self.scale,
-                                   tile_cache_bytes, result)
-        return result
-
-    def tcor(self, alias: str, tile_cache_bytes: int,
-             l2_enhancements: bool = True,
-             tcor_config: TCORConfig | None = None) -> SystemResult:
-        tcor = (tcor_config if tcor_config is not None
-                else TCORConfig.for_total_size(tile_cache_bytes))
-        key = self.tcor_key(alias, tile_cache_bytes, tcor, l2_enhancements)
-        result = self._systems.get(key)
-        if result is not None:
-            return result
-        if self.disk is not None:
-            result = self.disk.get_tcor(BENCHMARKS[alias], self.scale, tcor,
-                                        l2_enhancements)
-            if result is not None:
-                self._systems[key] = result
-                return result
-        result = self._replay(alias, "tcor", tcor=tcor,
-                              l2_enhancements=l2_enhancements)
-        if result is None:
-            result = simulate_tcor(self.workload(alias), tcor=tcor,
-                                   l2_enhancements=l2_enhancements)
-        self._systems[key] = result
-        if self.disk is not None:
-            self.disk.put_tcor(BENCHMARKS[alias], self.scale, tcor,
-                               l2_enhancements, result)
-        return result
+    @classmethod
+    def memo_key(cls, alias: str, config: SimulationConfig) -> tuple:
+        """The memo key of one provider simulation (``config`` carries
+        the total Tile Cache budget, as ``baseline``/``tcor`` set it)."""
+        resolved = config.resolved()
+        if resolved.kind == "baseline":
+            return cls.baseline_key(alias,
+                                    resolved.gpu.tile_cache.size_bytes)
+        return cls.tcor_key(alias, config.tile_cache_bytes, resolved.tcor,
+                            resolved.l2_enhancements)
 
     @staticmethod
     def metric_prefix(key: tuple) -> str:
@@ -281,8 +186,8 @@ class SimulationCache(SimulationProvider):
 
         ``sim.baseline.CCS.tc64`` or ``sim.tcor.CCS.tc64.pl16ab47``;
         the same SystemResult lands under the same name whether it was
-        simulated serially, by a pool worker, or loaded from disk —
-        which is what makes parallel metrics aggregation exact.
+        simulated serially, by a pool worker, remotely, or loaded from
+        disk — which is what makes parallel metrics aggregation exact.
         """
         if key[0] == "baseline":
             _, alias, tile_cache_bytes = key
@@ -295,7 +200,10 @@ class SimulationCache(SimulationProvider):
                 f"{_size_component('ab', ab_bytes)}")
 
     def export_metrics(self, registry) -> int:
-        """Every memoized SystemResult, flattened into ``sim.*`` gauges."""
+        """Every memoized SystemResult, flattened into ``sim.*`` gauges.
+
+        Returns the number of metrics exported.
+        """
         from repro.obs.registry import flatten
 
         exported = 0
@@ -306,6 +214,41 @@ class SimulationCache(SimulationProvider):
                 registry.gauge(name, value)
                 exported += 1
         return exported
+
+
+class SimulationCache(SimulationProvider):
+    """Memoizes workloads and system simulations across experiments.
+
+    Simulations run in-process through :func:`repro.api.run_simulation`.
+    ``disk``, when given, is a persistent second level (duck-typed as
+    :class:`repro.parallel.store.DiskCache`): memo misses probe it
+    before simulating, fresh results are written through, and compiled
+    traces persist in it too, so repeated runner/benchmark invocations
+    skip re-simulation and workload construction entirely.
+    """
+
+    def __init__(self, scale: float = DEFAULT_SCALE,
+                 aliases: tuple[str, ...] | None = None,
+                 disk=None) -> None:
+        super().__init__(scale=scale, aliases=aliases)
+        self.disk = disk
+
+    def _run(self, alias: str, config: SimulationConfig) -> SystemResult:
+        if self.disk is not None:
+            result = self.disk.get_result(self.source(alias).identity,
+                                          config)
+            if result is not None:
+                return result
+        return self._simulate(alias, config)
+
+    def _simulate(self, alias: str, config: SimulationConfig
+                  ) -> SystemResult:
+        """Simulate in-process and write the result through."""
+        source = self.source(alias)
+        result = run_simulation(source, config)
+        if self.disk is not None:
+            self.disk.put_result(source.identity, config, result)
+        return result
 
 
 def suite_workloads(scale: float = DEFAULT_SCALE,

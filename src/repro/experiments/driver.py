@@ -18,10 +18,9 @@ edit to the simulator sources invalidates the cache automatically.
 Simulations run through the compiled-trace replay engine by default:
 each workload is lowered once to an access-trace IR and replayed
 through fast kernels for every configuration, bit-identically to the
-live simulator (``--no-replay`` forces the live path; traced runs use
-it automatically).  Compiled traces persist alongside results
-(``--no-trace-cache`` disables that; ``$REPRO_TRACE_CACHE_BYTES`` caps
-the store).
+live simulator (``REPRO_NO_REPLAY=1`` forces the live path; traced runs
+use it automatically).  Compiled traces persist alongside results
+(``$REPRO_TRACE_CACHE_BYTES`` caps the store).
 
 ``--metrics-out`` writes a ``tcor-metrics`` JSON dump of every counter
 the run produced (``sim.*`` per-simulation results — aggregated across
@@ -149,19 +148,13 @@ def run_experiments(names: list[str], scale: float,
                     aliases: tuple[str, ...] | None = None,
                     jobs: int = 1, disk=None,
                     cache: SimulationProvider | None = None,
-                    registry: MetricsRegistry | None = None,
-                    use_replay: bool = True,
-                    trace_cache: bool = True) -> list[ExperimentResult]:
+                    registry: MetricsRegistry | None = None
+                    ) -> list[ExperimentResult]:
     """Run the named experiments, fanning simulations out over ``jobs``
     worker processes (1 = fully serial) with ``disk`` as a persistent
     result store (None = in-memory only).  Parallel runs produce the
     same tables as serial ones: every simulation is an independent,
     seeded job and results are merged under deterministic keys.
-
-    ``use_replay`` (default) compiles each workload's access trace once
-    and replays it through the fast kernels for every configuration —
-    bit-identical to the live simulator, which remains the fallback;
-    ``trace_cache`` persists the compiled traces in ``disk``.
 
     ``registry``, when given, receives the run's metrics: every
     memoized simulation as ``sim.*`` gauges (identical whether it ran
@@ -181,9 +174,7 @@ def run_experiments(names: list[str], scale: float,
         from repro.parallel import ParallelSimulationCache
 
         cache = ParallelSimulationCache(scale=scale, aliases=aliases,
-                                        jobs=jobs, disk=disk,
-                                        use_replay=use_replay,
-                                        trace_cache=trace_cache)
+                                        jobs=jobs, disk=disk)
     if pending:
         cache.prefetch(pending)
     results: list[ExperimentResult] = []
@@ -236,13 +227,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-disk-cache", action="store_true",
                         help="do not read or write the persistent "
                              "simulation cache")
-    parser.add_argument("--no-replay", action="store_true",
-                        help="force the live simulator instead of the "
-                             "compiled-trace replay kernels (results are "
-                             "bit-identical either way)")
-    parser.add_argument("--no-trace-cache", action="store_true",
-                        help="do not persist compiled access traces in "
-                             "the disk cache")
     parser.add_argument("--cache-dir", default=None,
                         help="simulation cache directory (default: "
                              "$REPRO_CACHE_DIR or .repro-cache)")
@@ -287,9 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     scope = activation(tracer) if tracer is not None else nullcontext()
     with scope:
         results = run_experiments(names, scale=args.scale, aliases=aliases,
-                                  jobs=jobs, disk=disk, registry=registry,
-                                  use_replay=not args.no_replay,
-                                  trace_cache=not args.no_trace_cache)
+                                  jobs=jobs, disk=disk, registry=registry)
     if tracer is not None:
         tracer.close()
     blocks = []

@@ -39,9 +39,9 @@ BLOCKING_PREFIXES = ("requests.",)
 # (pathlib's read/write family).
 FILE_IO_LEAVES = frozenset({"read_text", "write_text", "read_bytes",
                             "write_bytes"})
-# The serve layer's synchronous disk-cache bridges: correct inside an
-# executor, wrong on the loop.
-DISK_CACHE_LEAVES = frozenset({"probe_disk", "store_disk",
+# The store's synchronous entry points and the serve layer's bridges to
+# them: correct inside an executor, wrong on the loop.
+DISK_CACHE_LEAVES = frozenset({"get_result", "put_result", "lookup_disk",
                                "probe_disk_batch", "store_disk_batch"})
 
 _MAX_DEPTH = 4

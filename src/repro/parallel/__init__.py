@@ -6,9 +6,10 @@ Three layers (see DESIGN.md, "Parallel experiment engine"):
   :class:`~repro.experiments.common.SimulationCache` that prefetches
   the experiment job matrix across a process pool;
 - :class:`~repro.parallel.store.DiskCache` — a content-addressed
-  on-disk store keyed by (benchmark spec, machine config, scale,
-  simulator-code signature), so repeated invocations skip simulation
-  entirely and any simulator edit invalidates cleanly;
+  on-disk store keyed by :func:`~repro.parallel.store.simulation_key`
+  (workload identity, resolved config, simulator-code signature), so
+  repeated invocations skip simulation entirely and any simulator edit
+  invalidates cleanly;
 - the hot-path tuning the equivalence suite gates lives with the
   simulator itself (``repro/tcor/system.py``, ``repro/caches``).
 """
@@ -28,6 +29,7 @@ from repro.parallel.store import (
     result_from_dict,
     result_to_dict,
     simulation_code_signature,
+    simulation_key,
 )
 
 __all__ = [
@@ -43,4 +45,5 @@ __all__ = [
     "result_to_dict",
     "simulate_job_batch",
     "simulation_code_signature",
+    "simulation_key",
 ]

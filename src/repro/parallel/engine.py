@@ -11,10 +11,11 @@ the serial cache uses — so figure modules are oblivious to how their
 inputs were produced, and parallel runs are byte-identical to serial
 ones (every workload is seeded, no state crosses workloads).
 
-Workload construction happens *inside* each worker (one build per
-benchmark, shared by all of that benchmark's variants), so nothing
-large is ever pickled into the pool; only compact ``SystemResult``
-counter records come back.
+Each worker runs one benchmark's jobs through the same
+:func:`~repro.api.run_simulation` the serial cache uses, finding the
+compiled trace once per batch through the parent's store (loaded, or
+built, compiled and stored), so nothing large is ever pickled into the
+pool; only compact ``SystemResult`` counter records come back.
 """
 
 from __future__ import annotations
@@ -22,15 +23,15 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
-from repro.config import TCORConfig
+from repro.api import SimulationConfig, WorkloadSource, run_simulation
 from repro.obs import trace as obs_trace
 from repro.experiments.common import (
     DEFAULT_SCALE,
     TILE_CACHE_SIZES,
     SimulationCache,
 )
-from repro.tcor.system import SystemResult, simulate_baseline, simulate_tcor
-from repro.workloads.suite import BENCHMARKS, build_workload
+from repro.tcor.system import SystemResult
+from repro.workloads.suite import BENCHMARKS, WorkloadIdentity
 
 # Which cache-backed simulation variants each experiment module
 # consumes (modules that only need workloads build them in-process).
@@ -53,6 +54,13 @@ class SimJob:
     alias: str
     tile_cache_bytes: int
 
+    @property
+    def config(self) -> SimulationConfig:
+        return SimulationConfig(
+            kind="baseline" if self.kind == "baseline" else "tcor",
+            tile_cache_bytes=self.tile_cache_bytes,
+            l2_enhancements=(self.kind == "tcor"))
+
 
 def enumerate_jobs(names, aliases) -> list[SimJob]:
     """The job matrix the named experiments need, in deterministic
@@ -70,23 +78,15 @@ def enumerate_jobs(names, aliases) -> list[SimJob]:
 
 
 def simulate_job_batch(alias: str, scale: float,
-                       jobs: tuple[SimJob, ...],
-                       use_replay: bool = True,
-                       trace_dir: str | None = None
+                       jobs: tuple[SimJob, ...], store=None
                        ) -> list[tuple[SimJob, SystemResult]]:
-    """Worker entry point: one trace compile, then every variant.
+    """Worker entry point: one benchmark's jobs through the one
+    simulation path, sharing one compiled trace.
 
-    Must stay a module-level function (pickled by name into the pool)
-    and must mirror :class:`SimulationCache`'s simulation calls exactly
-    so pooled and lazy results are interchangeable.
-
-    ``use_replay`` (default) compiles the workload's access trace once
-    and replays it through the fast kernels for every job in the batch
-    — bit-identical to the live calls, which remain the fallback for
-    ineligible configurations.  ``trace_dir``, when given, is a
-    :class:`~repro.parallel.store.DiskCache` directory to load/persist
-    the compiled trace through: on a trace hit the worker skips
-    building the workload (geometry + binning) entirely.
+    Must stay a module-level function (pickled by name into the pool).
+    ``store`` is the parent's :class:`~repro.parallel.store.DiskCache`
+    (or ``None``): the batch loads the compiled trace from it, or
+    builds, compiles and stores it for the batches that follow.
 
     With the fork start method a worker inherits the parent's module
     state, including any tracer installed in ``obs.trace.ACTIVE`` at
@@ -97,59 +97,9 @@ def simulate_job_batch(alias: str, scale: float,
     the only module state this worker ever touches.
     """
     with obs_trace.activation(None):
-        spec = BENCHMARKS[alias]
-        replay = None
-        if use_replay:
-            from repro import replay as replay_module
-
-            if replay_module.replay_allowed() is None:
-                replay = replay_module
-        disk = None
-        trace = None
-        if replay is not None and trace_dir is not None:
-            from repro.parallel.store import DiskCache
-
-            disk = DiskCache(trace_dir)
-            trace = disk.get_trace(spec, scale)
-        workload = None
-        results = []
-        for job in jobs:
-            result = None
-            if replay is not None:
-                if trace is None:
-                    if workload is None:
-                        workload = build_workload(spec, scale=scale)
-                    trace = replay.compiled_trace_for(workload)
-                    if disk is not None:
-                        disk.put_trace(spec, scale, trace)
-                try:
-                    if job.kind == "baseline":
-                        result = replay.replay_baseline(
-                            trace,
-                            tile_cache_bytes=job.tile_cache_bytes).result
-                    else:
-                        result = replay.replay_tcor(
-                            trace,
-                            tcor=TCORConfig.for_total_size(
-                                job.tile_cache_bytes),
-                            l2_enhancements=(job.kind == "tcor"),
-                        ).result
-                except replay.ReplayUnsupportedError:
-                    result = None
-            if result is None:
-                if workload is None:
-                    workload = build_workload(spec, scale=scale)
-                if job.kind == "baseline":
-                    result = simulate_baseline(
-                        workload, tile_cache_bytes=job.tile_cache_bytes)
-                else:
-                    result = simulate_tcor(
-                        workload,
-                        tcor=TCORConfig.for_total_size(job.tile_cache_bytes),
-                        l2_enhancements=(job.kind == "tcor"),
-                    )
-            results.append((job, result))
-        return results
+        source = WorkloadSource(WorkloadIdentity(BENCHMARKS[alias], scale),
+                                store=store)
+        return [(job, run_simulation(source, job.config)) for job in jobs]
 
 
 class ParallelSimulationCache(SimulationCache):
@@ -163,51 +113,9 @@ class ParallelSimulationCache(SimulationCache):
 
     def __init__(self, scale: float = DEFAULT_SCALE,
                  aliases: tuple[str, ...] | None = None,
-                 jobs: int = 1, disk=None, use_replay: bool = True,
-                 trace_cache: bool = True) -> None:
-        super().__init__(scale=scale, aliases=aliases, disk=disk,
-                         use_replay=use_replay, trace_cache=trace_cache)
+                 jobs: int = 1, disk=None) -> None:
+        super().__init__(scale=scale, aliases=aliases, disk=disk)
         self.jobs = max(1, int(jobs))
-
-    def _worker_trace_dir(self) -> str | None:
-        """Trace-store directory for pool workers (compiled once by the
-        first worker, loaded by the rest), or ``None`` when disabled."""
-        if not (self.use_replay and self.trace_cache):
-            return None
-        directory = getattr(self.disk, "directory", None)
-        return str(directory) if directory is not None else None
-
-    # -- keys and storage ----------------------------------------------
-    def _job_key(self, job: SimJob) -> tuple:
-        if job.kind == "baseline":
-            return self.baseline_key(job.alias, job.tile_cache_bytes)
-        tcor = TCORConfig.for_total_size(job.tile_cache_bytes)
-        return self.tcor_key(job.alias, job.tile_cache_bytes, tcor,
-                              l2_enhancements=(job.kind == "tcor"))
-
-    def _store_job(self, job: SimJob, result: SystemResult) -> None:
-        self._systems[self._job_key(job)] = result
-        if self.disk is not None:
-            spec = BENCHMARKS[job.alias]
-            if job.kind == "baseline":
-                self.disk.put_baseline(spec, self.scale,
-                                       job.tile_cache_bytes, result)
-            else:
-                self.disk.put_tcor(
-                    spec, self.scale,
-                    TCORConfig.for_total_size(job.tile_cache_bytes),
-                    l2_enhancements=(job.kind == "tcor"), result=result)
-
-    def _probe_disk(self, job: SimJob) -> SystemResult | None:
-        if self.disk is None:
-            return None
-        spec = BENCHMARKS[job.alias]
-        if job.kind == "baseline":
-            return self.disk.get_baseline(spec, self.scale,
-                                          job.tile_cache_bytes)
-        return self.disk.get_tcor(
-            spec, self.scale, TCORConfig.for_total_size(job.tile_cache_bytes),
-            l2_enhancements=(job.kind == "tcor"))
 
     # -- fan-out -------------------------------------------------------
     def prefetch(self, names=None) -> int:
@@ -221,13 +129,15 @@ class ParallelSimulationCache(SimulationCache):
         names = tuple(names) if names is not None else tuple(EXPERIMENT_VARIANTS)
         pending = []
         for job in enumerate_jobs(names, self.aliases):
-            key = self._job_key(job)
+            key = self.memo_key(job.alias, job.config)
             if key in self._systems:
                 continue
-            hit = self._probe_disk(job)
-            if hit is not None:
-                self._systems[key] = hit
-                continue
+            if self.disk is not None:
+                hit = self.disk.get_result(self.source(job.alias).identity,
+                                           job.config)
+                if hit is not None:
+                    self._systems[key] = hit
+                    continue
             pending.append(job)
         if not pending:
             return 0
@@ -240,11 +150,8 @@ class ParallelSimulationCache(SimulationCache):
             # Serial fallback: run in-process (and reuse this cache's
             # workload memo instead of rebuilding in a worker).
             for job in pending:
-                if job.kind == "baseline":
-                    self.baseline(job.alias, job.tile_cache_bytes)
-                else:
-                    self.tcor(job.alias, job.tile_cache_bytes,
-                              l2_enhancements=(job.kind == "tcor"))
+                self._systems[self.memo_key(job.alias, job.config)] = \
+                    self._simulate(job.alias, job.config)
             return len(pending)
 
         workers = min(self.jobs, len(by_alias))
@@ -253,16 +160,19 @@ class ParallelSimulationCache(SimulationCache):
             # The worker's only reachable global write is its own scoped
             # activation(None) — the fork-hygiene reset above, process-
             # local and restored on exit.
-            trace_dir = self._worker_trace_dir()
             futures = [
                 pool.submit(simulate_job_batch, alias,  # lint: disable=SIM101
-                            self.scale, tuple(batch), self.use_replay,
-                            trace_dir)
+                            self.scale, tuple(batch), self.disk)
                 for alias, batch in by_alias.items()
             ]
             for future in as_completed(futures):
                 for job, result in future.result():
-                    self._store_job(job, result)
+                    self._systems[self.memo_key(job.alias,
+                                                job.config)] = result
+                    if self.disk is not None:
+                        self.disk.put_result(
+                            self.source(job.alias).identity, job.config,
+                            result)
         except BaseException:
             # Ctrl-C (or a server drain cancelling the prefetch) must
             # not block on — or orphan — workers still crunching queued

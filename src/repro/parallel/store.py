@@ -1,9 +1,10 @@
 """Persistent, content-addressed store for simulation results.
 
-A full-system simulation is a pure function of (benchmark spec, machine
-configuration, geometry scale, simulator code).  The store keys each
-:class:`~repro.tcor.system.SystemResult` by a SHA-256 over exactly
-those inputs — the code contribution reuses the lint engine's
+A full-system simulation is a pure function of (workload identity,
+resolved configuration, simulator code).  :func:`simulation_key` hashes
+exactly those inputs into the one key every result cache shares: this
+store's records, the serve request key, the scheduler and router memos
+and the memory tier.  The code contribution reuses the lint engine's
 package-signature idea: a hash of every simulator source file, so *any*
 edit to the simulator invalidates every cached record cleanly, while
 edits to experiment formatting, lint rules or this store leave warm
@@ -22,16 +23,17 @@ import itertools
 import json
 import os
 import threading
+import zipfile
+import zlib
 from abc import ABC, abstractmethod
 from dataclasses import asdict, fields
 from pathlib import Path
 
 from repro import envvars
-from repro.config import DEFAULT_GPU, GPUConfig, TCORConfig
 from repro.tcor.system import SystemResult
-from repro.workloads.suite import BenchmarkSpec
+from repro.workloads.suite import WorkloadIdentity
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 # The simulator proper: everything a SystemResult's counters depend on.
@@ -127,6 +129,29 @@ def trace_code_signature(package_root: str | os.PathLike | None = None
     return _tree_signature(_package_root(package_root), _TRACE_SOURCES)
 
 
+def _digest(signature: str, payload: dict) -> str:
+    canonical = json.dumps(
+        {"version": CACHE_VERSION, "signature": signature,
+         "payload": payload},
+        sort_keys=True, separators=(",", ":"), default=str,
+    )
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def simulation_key(identity: WorkloadIdentity, config,
+                   signature: str = "") -> str:
+    """The one key of a simulation result.
+
+    SHA-256 over canonical JSON of the workload identity, the
+    *resolved* :class:`~repro.api.SimulationConfig` and the simulator
+    code ``signature``, so every spelling of one simulation (a default
+    left implicit or made explicit, a TCOR split given by budget or by
+    partition) shares one key.
+    """
+    return _digest(signature, {"workload": identity.payload(),
+                               "config": asdict(config.resolved())})
+
+
 def result_to_dict(result: SystemResult) -> dict:
     """JSON-serializable form of one ``SystemResult`` record."""
     return asdict(result)
@@ -152,8 +177,9 @@ class ResultTier(ABC):
     so a tier neither knows nor cares what sits above or below it.
 
     ``context`` carries whatever the tier needs beyond the key (the
-    disk tier re-derives the store's spec/config payload from the
-    original request; the memory tier ignores it).  Implementations
+    disk tier hands the originating request's identity and config to
+    the store, which derives the same key; the memory tier ignores
+    it).  Implementations
     count their own ``hits``/``misses`` so hit-rate metrics fall out
     of a snapshot, not instrumentation at every call site.
     """
@@ -183,11 +209,15 @@ _TMP_SEQUENCE = itertools.count()
 
 
 class DiskCache:
-    """Content-addressed ``SystemResult`` records on disk.
+    """Content-addressed ``SystemResult`` records and compiled traces
+    on disk.
 
-    ``get_*``/``put_*`` mirror the :class:`SimulationCache` entry
-    points; the in-memory cache consults this object purely through
-    them, so it stays duck-typed and import-cycle-free.
+    Results are read and written by (workload identity, config) through
+    :meth:`get_result`/:meth:`put_result`, under :func:`simulation_key`;
+    compiled traces by workload identity through
+    :meth:`get_trace`/:meth:`put_trace`.  Callers stay duck-typed and
+    import-cycle-free.  The object pickles small (no file handles), so
+    pool workers receive the parent's store instead of reopening it.
     """
 
     def __init__(self, directory: str | os.PathLike | None = None,
@@ -213,50 +243,6 @@ class DiskCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
-
-    # -- keys ----------------------------------------------------------
-    def _key(self, payload: dict) -> str:
-        canonical = json.dumps(
-            {"version": CACHE_VERSION, "signature": self.signature,
-             "payload": payload},
-            sort_keys=True, separators=(",", ":"), default=str,
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    @staticmethod
-    def _anim_payload(anim) -> dict | None:
-        # Animated sequences are part of simulation identity; the
-        # single-frame default keys to None so pre-animation records
-        # and requests share keys.
-        if anim is None:
-            return None
-        from repro.anim.spec import anim_to_payload
-
-        return anim_to_payload(anim)
-
-    @staticmethod
-    def _baseline_payload(spec: BenchmarkSpec, scale: float,
-                          tile_cache_bytes: int,
-                          gpu: GPUConfig | None = None,
-                          rendering_elimination: bool = False,
-                          anim=None) -> dict:
-        gpu = (gpu or DEFAULT_GPU).with_tile_cache_size(tile_cache_bytes)
-        return {"kind": "baseline", "spec": asdict(spec), "scale": scale,
-                "gpu": asdict(gpu),
-                "rendering_elimination": rendering_elimination,
-                "anim": DiskCache._anim_payload(anim)}
-
-    @staticmethod
-    def _tcor_payload(spec: BenchmarkSpec, scale: float,
-                      tcor: TCORConfig, l2_enhancements: bool,
-                      gpu: GPUConfig | None = None,
-                      rendering_elimination: bool = False,
-                      anim=None) -> dict:
-        return {"kind": "tcor", "spec": asdict(spec), "scale": scale,
-                "gpu": asdict(gpu or DEFAULT_GPU), "tcor": asdict(tcor),
-                "l2_enhancements": l2_enhancements,
-                "rendering_elimination": rendering_elimination,
-                "anim": DiskCache._anim_payload(anim)}
 
     # -- record I/O ----------------------------------------------------
     def _path(self, key: str) -> Path:
@@ -304,77 +290,61 @@ class DiskCache:
             except OSError:
                 pass
 
-    # -- SimulationCache-facing API ------------------------------------
-    def get_baseline(self, spec: BenchmarkSpec, scale: float,
-                     tile_cache_bytes: int,
-                     rendering_elimination: bool = False,
-                     anim=None) -> SystemResult | None:
-        return self._read(
-            self._key(self._baseline_payload(
-                spec, scale, tile_cache_bytes,
-                rendering_elimination=rendering_elimination, anim=anim)))
+    # -- simulation results --------------------------------------------
+    def get_result(self, identity: WorkloadIdentity,
+                   config) -> SystemResult | None:
+        """The stored result of ``config`` on ``identity``, or ``None``."""
+        get = self.get_baseline if config.kind == "baseline" \
+            else self.get_tcor
+        return get(identity, config)
 
-    def put_baseline(self, spec: BenchmarkSpec, scale: float,
-                     tile_cache_bytes: int, result: SystemResult,
-                     rendering_elimination: bool = False,
-                     anim=None) -> None:
-        payload = self._baseline_payload(
-            spec, scale, tile_cache_bytes,
-            rendering_elimination=rendering_elimination, anim=anim)
-        meta = {"kind": "baseline", "alias": spec.alias, "scale": scale,
-                "tile_cache_bytes": tile_cache_bytes}
-        self._write(self._key(payload), meta, result_to_dict(result))
+    def put_result(self, identity: WorkloadIdentity, config,
+                   result: SystemResult) -> None:
+        put = self.put_baseline if config.kind == "baseline" \
+            else self.put_tcor
+        put(identity, config, result)
 
-    def get_tcor(self, spec: BenchmarkSpec, scale: float, tcor: TCORConfig,
-                 l2_enhancements: bool,
-                 rendering_elimination: bool = False,
-                 anim=None) -> SystemResult | None:
-        return self._read(
-            self._key(self._tcor_payload(
-                spec, scale, tcor, l2_enhancements,
-                rendering_elimination=rendering_elimination, anim=anim)))
+    def _get(self, identity: WorkloadIdentity,
+             config) -> SystemResult | None:
+        return self._read(simulation_key(identity, config, self.signature))
 
-    def put_tcor(self, spec: BenchmarkSpec, scale: float, tcor: TCORConfig,
-                 l2_enhancements: bool, result: SystemResult,
-                 rendering_elimination: bool = False,
-                 anim=None) -> None:
-        payload = self._tcor_payload(
-            spec, scale, tcor, l2_enhancements,
-            rendering_elimination=rendering_elimination, anim=anim)
-        meta = {"kind": "tcor", "alias": spec.alias, "scale": scale,
-                "l2_enhancements": l2_enhancements}
-        self._write(self._key(payload), meta, result_to_dict(result))
+    def _put(self, identity: WorkloadIdentity, config,
+             result: SystemResult) -> None:
+        meta = {"kind": config.kind, "alias": identity.spec.alias,
+                "scale": identity.scale}
+        self._write(simulation_key(identity, config, self.signature), meta,
+                    result_to_dict(result))
+
+    # Both kinds share one key and one record format.  The per-kind
+    # names keep each kind's store traffic separately observable (the
+    # benchmark's layer spans wrap them); only get_result/put_result
+    # choose between them.
+    get_baseline = get_tcor = _get
+    put_baseline = put_tcor = _put
 
     # -- compiled access traces ----------------------------------------
-    def _trace_key(self, spec: BenchmarkSpec, scale: float,
-                   anim=None) -> str:
+    def _trace_path(self, identity: WorkloadIdentity) -> Path:
         # Keyed by the *trace* signature (event-stream producers + the
         # IR), not the full simulation signature: cache-model edits must
         # leave compiled traces warm.
-        canonical = json.dumps(
-            {"version": CACHE_VERSION, "signature": self.trace_signature,
-             "payload": {"kind": "trace", "spec": asdict(spec),
-                         "scale": scale,
-                         "anim": self._anim_payload(anim)}},
-            sort_keys=True, separators=(",", ":"), default=str,
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def _trace_path(self, key: str) -> Path:
+        key = _digest(self.trace_signature,
+                      {"kind": "trace", "workload": identity.payload()})
         return self.directory / f"trace-{key}.npz"
 
-    def get_trace(self, spec: BenchmarkSpec, scale: float, anim=None):
-        """The persisted compiled trace for (spec, scale), or ``None``.
+    def get_trace(self, identity: WorkloadIdentity):
+        """The persisted compiled trace of ``identity``, or ``None``.
 
-        Any failure — missing file, torn archive, IR version mismatch —
-        degrades to a cache miss."""
+        Any failure (missing file, torn or truncated archive, IR
+        version mismatch) degrades to a cache miss, so the caller
+        recompiles and overwrites the archive."""
         from repro.replay import load_trace
 
-        path = self._trace_path(self._trace_key(spec, scale, anim))
+        path = self._trace_path(identity)
         try:
             with open(path, "rb") as handle:
                 trace = load_trace(handle)
-        except (OSError, ValueError, KeyError):
+        except (OSError, ValueError, KeyError, zipfile.BadZipFile,
+                zlib.error):
             self.misses += 1
             return None
         try:
@@ -385,11 +355,10 @@ class DiskCache:
         self.hits += 1
         return trace
 
-    def put_trace(self, spec: BenchmarkSpec, scale: float, trace,
-                  anim=None) -> None:
+    def put_trace(self, identity: WorkloadIdentity, trace) -> None:
         from repro.replay import save_trace
 
-        path = self._trace_path(self._trace_key(spec, scale, anim))
+        path = self._trace_path(identity)
         tmp = path.with_suffix(
             f".tmp.{os.getpid()}.{threading.get_ident()}."
             f"{next(_TMP_SEQUENCE)}")
@@ -448,8 +417,8 @@ class DiskCache:
                    aliases: tuple[str, ...]) -> list | None:
         """Cached :class:`ExperimentResult` list for one experiment, or
         ``None``.  A warm runner invocation skips the module entirely."""
-        data = self._load(
-            self._key(self._tables_payload(experiment, scale, aliases)))
+        data = self._load(_digest(
+            self.signature, self._tables_payload(experiment, scale, aliases)))
         if data is None:
             return None
         from repro.experiments.common import ExperimentResult
@@ -459,7 +428,7 @@ class DiskCache:
                    aliases: tuple[str, ...], results: list) -> None:
         payload = self._tables_payload(experiment, scale, aliases)
         meta = {"kind": "tables", "experiment": experiment, "scale": scale}
-        self._write(self._key(payload), meta,
+        self._write(_digest(self.signature, payload), meta,
                     [asdict(result) for result in results])
 
     # -- maintenance ---------------------------------------------------

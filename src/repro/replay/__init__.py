@@ -3,12 +3,12 @@
 ``compile_workload`` lowers a workload into a config-independent IR;
 ``replay_baseline`` / ``replay_tcor`` run the cache models over it
 bit-identically to the live simulator (which remains the reference
-oracle, gated by tests/test_replay_equivalence.py).  ``try_replay`` is
-the dispatch helper the public facade and the experiment caches use:
-it replays when the run is eligible and returns ``None`` (caller falls
-back to the live path) when it is not — a tracer is attached, the
-``REPRO_NO_REPLAY`` escape hatch is set, or the configuration steps
-outside what the kernels model.
+oracle, gated by tests/test_replay_equivalence.py).  The engine choice
+itself lives in :func:`repro.api.run_simulation`: it replays unless
+:func:`replay_allowed` names a reason not to (a tracer is attached, the
+``REPRO_NO_REPLAY`` escape hatch is set) or the kernels raise
+:class:`ReplayUnsupportedError` for a configuration outside what they
+model.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "replay_baseline",
     "replay_tcor",
     "trace_ir_compatible",
-    "try_replay",
 ]
 
 
@@ -94,42 +93,3 @@ def observe_replay(obs: Observation, outcome: ReplayOutcome) -> None:
         from repro.anim.elimination import RE_ACCOUNTING_RULE
 
         obs.expect_sum(*RE_ACCOUNTING_RULE)
-
-
-def try_replay(workload, config, obs: Observation | None = None,
-               require: bool = False):
-    """Replay ``workload`` under ``config`` if eligible.
-
-    Returns the :class:`~repro.tcor.system.SystemResult` (registering
-    metrics into ``obs`` when given), or ``None`` when the run must use
-    the live simulator; with ``require=True`` ineligibility raises
-    :class:`ReplayUnsupportedError` instead.
-    """
-    reason = replay_allowed(obs)
-    if reason is not None:
-        if require:
-            raise ReplayUnsupportedError(reason)
-        return None
-    try:
-        trace = compiled_trace_for(workload)
-        if config.kind == "baseline":
-            outcome = replay_baseline(
-                trace, gpu=config.gpu,
-                tile_cache_bytes=config.tile_cache_bytes,
-                include_background=config.include_background,
-                rendering_elimination=config.rendering_elimination)
-        else:
-            outcome = replay_tcor(
-                trace, gpu=config.gpu, tcor=config.tcor,
-                total_tile_cache_bytes=config.tile_cache_bytes,
-                l2_enhancements=config.l2_enhancements,
-                interleaved_lists=config.interleaved_lists,
-                include_background=config.include_background,
-                rendering_elimination=config.rendering_elimination)
-    except ReplayUnsupportedError:
-        if require:
-            raise
-        return None
-    if obs is not None:
-        observe_replay(obs, outcome)
-    return outcome.result

@@ -86,10 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S,
                         metavar="S", help="default per-job timeout")
     parser.add_argument("--cache-dir", type=Path, default=None,
-                        help="PR 2 disk-cache directory for the warm "
-                             "lane (shared with tcor-experiments)")
+                        help="disk-cache directory for the warm lane and "
+                             "the workers' compiled traces (shared with "
+                             "tcor-experiments)")
     parser.add_argument("--no-disk-cache", action="store_true",
-                        help="disable the disk-warm lane entirely")
+                        help="run without the disk cache (no warm lane, "
+                             "no stored traces)")
     parser.add_argument("--trace", type=Path, default=None, metavar="PATH",
                         help="write scheduling decisions as a JSONL "
                              "event trace")

@@ -424,10 +424,9 @@ class Router:
     async def _route_job_inner(self, job: RouterJob) -> None:
         assert self._loop is not None
         record = None
-        if self.tier.disk_tier is not None \
-                and schema.disk_mappable(job.request):
+        if self.tier.disk_tier is not None:
             record = await self._loop.run_in_executor(
-                None, self.tier.probe_disk, job.key, job.request)
+                None, self.tier.lookup_disk, job.key, job.request)
         if job.state in schema.TERMINAL_STATES:
             return  # close() raced the probe
         if record is not None:

@@ -9,10 +9,11 @@ experiment modules, the driver and the benchmark suite simulate
 through it unchanged, and the serving contract guarantees the results
 are byte-identical to local :func:`repro.api.simulate` calls.
 
-Division of labour mirrors the local providers: workloads (cheap,
-deterministic geometry) build in-process and memoize; system
+Division of labour mirrors the local providers, whose base class
+holds the workload sources, the memo and the metrics export: workloads
+(deterministic geometry) build in-process and memoize; system
 simulations (expensive) go over the wire, where the service's
-coalescing/memo/tier machinery deduplicates them, and land in a local
+coalescing/memo/tier machinery deduplicates them, and land in the
 memo so each (kind, alias, budget) cell is fetched at most once per
 handle.  :meth:`prefetch` submits the named experiments' whole job
 matrix without waiting, letting the service batch and shard it, then
@@ -22,20 +23,11 @@ process-pool fan-out.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 from repro.api import SimulationConfig
-from repro.config import TCORConfig
-from repro.experiments.common import SimulationCache, SimulationProvider
+from repro.experiments.common import SimulationProvider
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.schema import DONE, JobRequest
 from repro.tcor.system import SystemResult
-from repro.workloads.suite import (
-    BENCHMARK_ORDER,
-    BENCHMARKS,
-    Workload,
-    build_workload,
-)
 
 DEFAULT_RESULT_TIMEOUT_S = 600.0
 
@@ -51,12 +43,9 @@ class ServeHandle(SimulationProvider):
     def __init__(self, client: ServeClient, *, scale: float = 1.0,
                  aliases: tuple[str, ...] | None = None,
                  timeout_s: float = DEFAULT_RESULT_TIMEOUT_S) -> None:
+        super().__init__(scale=scale, aliases=aliases)
         self.client = client
-        self.scale = scale
-        self.aliases = tuple(aliases) if aliases else BENCHMARK_ORDER
         self.timeout_s = timeout_s
-        self._workloads: dict[str, Workload] = {}
-        self._systems: dict[tuple, SystemResult] = {}
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
@@ -69,34 +58,9 @@ class ServeHandle(SimulationProvider):
         self.close()
 
     # -- the provider contract -----------------------------------------
-    def workload(self, alias: str) -> Workload:
-        if alias not in self._workloads:
-            self._workloads[alias] = build_workload(BENCHMARKS[alias],
-                                                    scale=self.scale)
-        return self._workloads[alias]
-
-    def baseline(self, alias: str, tile_cache_bytes: int) -> SystemResult:
-        key = SimulationCache.baseline_key(alias, tile_cache_bytes)
-        result = self._systems.get(key)
-        if result is None:
-            result = self._run(self._baseline_request(alias,
-                                                      tile_cache_bytes))
-            self._systems[key] = result
-        return result
-
-    def tcor(self, alias: str, tile_cache_bytes: int,
-             l2_enhancements: bool = True,
-             tcor_config: TCORConfig | None = None) -> SystemResult:
-        resolved = (tcor_config if tcor_config is not None
-                    else TCORConfig.for_total_size(tile_cache_bytes))
-        key = SimulationCache.tcor_key(alias, tile_cache_bytes,
-                                       resolved, l2_enhancements)
-        result = self._systems.get(key)
-        if result is None:
-            result = self._run(self._tcor_request(
-                alias, tile_cache_bytes, l2_enhancements, tcor_config))
-            self._systems[key] = result
-        return result
+    def _run(self, alias: str, config: SimulationConfig) -> SystemResult:
+        return self._collect(self.client.run(self._request(alias, config),
+                                             timeout_s=self.timeout_s))
 
     def prefetch(self, names=None) -> int:
         """Submit the named experiments' job matrix, collect results.
@@ -115,65 +79,21 @@ class ServeHandle(SimulationProvider):
             else tuple(EXPERIMENT_VARIANTS)
         submitted: list[tuple[tuple, str]] = []
         for job in enumerate_jobs(names, self.aliases):
-            if job.kind == "baseline":
-                key = SimulationCache.baseline_key(job.alias,
-                                                   job.tile_cache_bytes)
-                request = self._baseline_request(job.alias,
-                                                 job.tile_cache_bytes)
-            else:
-                l2e = job.kind == "tcor"
-                key = SimulationCache.tcor_key(
-                    job.alias, job.tile_cache_bytes,
-                    TCORConfig.for_total_size(job.tile_cache_bytes), l2e)
-                request = self._tcor_request(job.alias,
-                                             job.tile_cache_bytes, l2e,
-                                             None)
+            key = self.memo_key(job.alias, job.config)
             if key in self._systems:
                 continue
-            response = self.client.submit(request)
+            response = self.client.submit(self._request(job.alias,
+                                                        job.config))
             submitted.append((key, response["id"]))
         for key, job_id in submitted:
             self._systems[key] = self._collect(
                 self.client.wait(job_id, timeout_s=self.timeout_s))
         return len(submitted)
 
-    def export_metrics(self, registry) -> int:
-        """Every fetched SystemResult, flattened into ``sim.*`` gauges
-        under the same names the local providers use."""
-        from repro.obs.registry import flatten
-
-        exported = 0
-        for key in sorted(self._systems, key=str):
-            result = self._systems[key]
-            prefix = SimulationCache.metric_prefix(key)
-            for name, value in flatten(asdict(result), prefix).items():
-                registry.gauge(name, value)
-                exported += 1
-        return exported
-
     # -- wire plumbing -------------------------------------------------
-    def _baseline_request(self, alias: str,
-                          tile_cache_bytes: int) -> JobRequest:
-        return JobRequest(
-            alias=alias, scale=self.scale,
-            config=SimulationConfig(kind="baseline",
-                                    tile_cache_bytes=tile_cache_bytes),
-            timeout_s=self.timeout_s)
-
-    def _tcor_request(self, alias: str, tile_cache_bytes: int,
-                      l2_enhancements: bool,
-                      tcor_config: TCORConfig | None) -> JobRequest:
-        return JobRequest(
-            alias=alias, scale=self.scale,
-            config=SimulationConfig(kind="tcor",
-                                    tile_cache_bytes=tile_cache_bytes,
-                                    l2_enhancements=l2_enhancements,
-                                    tcor=tcor_config),
-            timeout_s=self.timeout_s)
-
-    def _run(self, request: JobRequest) -> SystemResult:
-        return self._collect(self.client.run(request,
-                                             timeout_s=self.timeout_s))
+    def _request(self, alias: str, config: SimulationConfig) -> JobRequest:
+        return JobRequest(alias=alias, scale=self.scale, config=config,
+                          timeout_s=self.timeout_s)
 
     @staticmethod
     def _collect(result) -> SystemResult:

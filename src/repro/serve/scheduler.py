@@ -9,13 +9,15 @@ have:
 - **coalescing** — identical request keys share one in-flight future
   (the *Rendering Elimination* early-discard idea applied to compute:
   redundant in-flight work is detected by identity, not recomputed);
-- **micro-batching** — compatible jobs (same benchmark alias and
-  scale) are grouped into one pool call so the workload is built once
-  per batch, exactly like the parallel engine's per-alias fan-out;
-- **cache-aware ordering** — requests whose keys are warm in the PR 2
+- **micro-batching** — compatible jobs (same benchmark alias, scale
+  and animation) are grouped into one pool call so the compiled trace
+  is found once per batch, exactly like the parallel engine's
+  per-alias fan-out;
+- **cache-aware ordering** — requests whose keys are warm in the
   disk store are served from a fast lane without ever occupying a
-  pool slot, and finished results feed an in-memory memo so repeats
-  are instant;
+  pool slot, finished results feed an in-memory memo so repeats are
+  instant, and pool batches load compiled traces from the same store
+  instead of rebuilding the workload;
 - **admission control** — a bounded queue rejects overload with a
   typed 429-style error instead of accepting unbounded latency.
 
@@ -445,7 +447,7 @@ class Scheduler:
                 self._loop.run_in_executor(
                     pool, simulate_request_batch,
                     request0.alias, request0.scale, entries,
-                    anim_payload),
+                    anim_payload, self.disk),
                 timeout)
         except (asyncio.TimeoutError, asyncio.CancelledError):
             # Timeout, watchdog cancellation, or close(): the worker

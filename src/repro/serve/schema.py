@@ -13,23 +13,20 @@ dataclass view on each side:
 - :class:`ServeError` — a typed failure carrying a machine-readable
   code and the HTTP status it maps to (``queue_full`` → 429, ...).
 
-Request identity is a deterministic key: :func:`request_key` hashes
-the canonical JSON of (alias, scale, config) exactly the way the PR 2
-:class:`~repro.parallel.store.DiskCache` derives record keys —
-version + code signature + sorted payload through SHA-256 — so two
-submissions of the same simulation coalesce onto one in-flight future
-no matter which client sent them, while scheduling hints (priority,
-timeout) never split identical work.  :func:`probe_disk` /
-:func:`store_disk` map standard-knob requests onto the *same* disk
-records the experiment runner reads and writes, which is what makes
-the scheduler's disk-warm fast lane see caches warmed by
-``tcor-experiments`` runs (and vice versa).
+Request identity is :func:`request_key`, which is
+:func:`~repro.parallel.store.simulation_key` over the request's
+workload identity (alias, scale, animation recipe) and its *resolved*
+config: every spelling of one simulation shares one key, scheduling
+hints (priority, timeout) never split identical work, and the key is
+the very string the :class:`~repro.parallel.store.DiskCache` files the
+result under.  So coalescing, the scheduler and router memos, the
+memory tier and the disk lane all index one key, and
+:func:`probe_disk_batch` / :func:`store_disk_batch` read and write the
+same records the experiment runner does, for every request.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping
 
@@ -37,8 +34,6 @@ from repro.anim.spec import AnimationSpec, anim_from_payload, anim_to_payload
 from repro.api import SimulationConfig
 from repro.config import (
     CacheConfig,
-    DEFAULT_GPU,
-    DEFAULT_TCOR,
     GPUConfig,
     MemoryConfig,
     ParameterBufferConfig,
@@ -46,9 +41,13 @@ from repro.config import (
     TCORConfig,
     TilingEngineConfig,
 )
-from repro.parallel.store import result_from_dict, result_to_dict
+from repro.parallel.store import (
+    result_from_dict,
+    result_to_dict,
+    simulation_key,
+)
 from repro.tcor.system import SystemResult
-from repro.workloads.suite import BENCHMARKS
+from repro.workloads.suite import BENCHMARKS, WorkloadIdentity
 
 SCHEMA_VERSION = 2
 
@@ -307,6 +306,12 @@ class JobRequest:
             raise ServeError.bad_request(
                 f"timeout_s must be positive, got {self.timeout_s!r}")
 
+    @property
+    def identity(self) -> WorkloadIdentity:
+        """The workload this request simulates."""
+        return WorkloadIdentity(BENCHMARKS[self.alias], self.scale,
+                                self.anim)
+
 
 def request_to_payload(request: JobRequest) -> dict:
     return {
@@ -347,111 +352,29 @@ def request_from_payload(data: dict) -> JobRequest:
 
 
 def request_key(request: JobRequest, signature: str = "") -> str:
-    """Deterministic identity of one simulation request.
-
-    The same canonical-JSON + SHA-256 derivation the disk store uses:
-    ``signature`` is the simulator-code signature (constant within one
-    server process), and the payload covers exactly the fields that
-    determine the simulation outcome — scheduling hints are excluded.
-    """
-    canonical = json.dumps(
-        {"version": SCHEMA_VERSION, "signature": signature,
-         "payload": {"alias": request.alias, "scale": request.scale,
-                     "config": config_to_payload(request.config),
-                     "anim": (anim_to_payload(request.anim)
-                              if request.anim is not None else None)}},
-        sort_keys=True, separators=(",", ":"), default=str,
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    """Deterministic identity of one simulation request: the store's
+    :func:`~repro.parallel.store.simulation_key` of its workload and
+    config.  ``signature`` is the simulator-code signature (the disk
+    store's, constant within one server process); scheduling hints are
+    not part of the key."""
+    return simulation_key(request.identity, request.config, signature)
 
 
 # -- disk-cache mapping ------------------------------------------------
 
-def disk_mappable(request: JobRequest) -> bool:
-    """Whether this request maps onto a PR 2 disk-cache record.
-
-    The store's payloads cover the standard experiment knobs only: a
-    custom GPU, contiguous PB-Lists or a dropped background workload
-    change the simulation outcome but are not part of any store key,
-    so such requests must bypass the disk lane entirely.  Animated /
-    Rendering Elimination requests likewise stay off the disk lane:
-    their results live in the scheduler's memo and memory tiers, which
-    the sequence-affinity routing keeps warm.
-    """
-    config = request.config
-    if config.gpu is not None:
-        return False
-    if config.rendering_elimination or request.anim is not None:
-        return False
-    return config.include_background and config.interleaved_lists
-
-
-def effective_tile_cache_bytes(config: SimulationConfig) -> int:
-    """The unified baseline budget this config resolves to."""
-    if config.tile_cache_bytes is not None:
-        return config.tile_cache_bytes
-    return DEFAULT_GPU.tile_cache.size_bytes
-
-
-def effective_tcor_config(config: SimulationConfig) -> TCORConfig:
-    """The split TCOR sizing this config resolves to (mirrors
-    :func:`repro.tcor.system.simulate_tcor`'s resolution order:
-    explicit config first, then the total-budget split, then the
-    paper default)."""
-    if config.tcor is not None:
-        return config.tcor
-    if config.tile_cache_bytes is not None:
-        return TCORConfig.for_total_size(config.tile_cache_bytes)
-    return DEFAULT_TCOR
-
-
-def probe_disk(disk, request: JobRequest) -> SystemResult | None:
-    """Disk-cache lookup for a :func:`disk_mappable` request."""
-    spec = BENCHMARKS[request.alias]
-    config = request.config
-    if config.kind == "baseline":
-        return disk.get_baseline(spec, request.scale,
-                                 effective_tile_cache_bytes(config))
-    return disk.get_tcor(spec, request.scale,
-                         effective_tcor_config(config),
-                         l2_enhancements=config.l2_enhancements)
-
-
-def store_disk(disk, request: JobRequest, result: SystemResult) -> None:
-    """Write-through for a :func:`disk_mappable` request's result."""
-    spec = BENCHMARKS[request.alias]
-    config = request.config
-    if config.kind == "baseline":
-        disk.put_baseline(spec, request.scale,
-                          effective_tile_cache_bytes(config), result)
-    else:
-        disk.put_tcor(spec, request.scale, effective_tcor_config(config),
-                      l2_enhancements=config.l2_enhancements,
-                      result=result)
-
-
 def probe_disk_batch(disk, requests: list[JobRequest]
                      ) -> list[SystemResult | None]:
-    """One executor round-trip for a whole micro-batch's warm probes.
-
-    Positionally aligned with ``requests``; entries that are not
-    :func:`disk_mappable` come back ``None`` without touching the
-    store.  Delegates to the module-level :func:`probe_disk` so tests
-    that monkeypatch the singular probe keep working.
-    """
-    return [probe_disk(disk, request) if disk_mappable(request)
-            else None for request in requests]
+    """One executor round-trip for a whole micro-batch's warm probes,
+    positionally aligned with ``requests``."""
+    return [disk.get_result(request.identity, request.config)
+            for request in requests]
 
 
 def store_disk_batch(disk, entries: list[tuple[JobRequest,
                                                SystemResult]]) -> None:
-    """One executor round-trip for a batch of write-throughs.
-
-    Skips non-:func:`disk_mappable` requests; delegates per entry to
-    :func:`store_disk` (monkeypatch-friendly, like the probe)."""
+    """One executor round-trip for a batch of write-throughs."""
     for request, result in entries:
-        if disk_mappable(request):
-            store_disk(disk, request, result)
+        disk.put_result(request.identity, request.config, result)
 
 
 # -- status / results --------------------------------------------------

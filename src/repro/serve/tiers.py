@@ -10,9 +10,9 @@ composite the cluster router actually holds:
   result cannot silently displace hundreds of small ones;
 - :class:`DiskRecordTier` — the existing concurrent-writer-safe
   :class:`~repro.parallel.store.DiskCache` adapted to the tier
-  contract through the wire schema's request ↔ store-record mapping.
-  Only :func:`~repro.serve.schema.disk_mappable` requests reach the
-  store (the same rule the single-node scheduler's warm lane applies);
+  contract.  The request key *is* the store's record key, so every
+  request reaches the store (the same records the single-node
+  scheduler's warm lane and the experiment runner use);
 - :class:`TieredResultCache` — memory first, then disk, with a
   disk hit promoted into the memory tier so the next lookup for a hot
   key never leaves the router process.
@@ -20,7 +20,7 @@ composite the cluster router actually holds:
 The memory tier is pure dict work and safe to call on the event loop;
 every disk probe is file I/O and must be pushed to an executor — the
 composite splits its API accordingly (``lookup_memory`` vs. the
-blocking ``probe_disk``/``sweep``).
+blocking ``lookup_disk``).
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 
-from repro.parallel.store import ResultTier, result_to_dict
-from repro.serve import schema
+from repro.parallel.store import ResultTier, result_from_dict, result_to_dict
 from repro.serve.schema import JobRequest
 
 DEFAULT_MEMORY_TIER_BYTES = 64 * 1024 * 1024
@@ -106,10 +105,9 @@ class DiskRecordTier(ResultTier):
     """The shared :class:`DiskCache`, spoken to through request keys.
 
     ``context`` must be the originating :class:`JobRequest`: the store
-    is keyed by (spec, config, scale, code signature), so the tier
-    re-derives that payload per call instead of storing a second index.
-    Both methods do file I/O — callers on an event loop go through an
-    executor.
+    derives the record key from its identity and config, which is the
+    request key itself.  Both methods do file I/O — callers on an event
+    loop go through an executor.
     """
 
     name = "disk"
@@ -119,12 +117,9 @@ class DiskRecordTier(ResultTier):
         self.disk = disk
 
     def get(self, key: str, context=None) -> dict | None:
-        request = context
-        if not isinstance(request, JobRequest) \
-                or not schema.disk_mappable(request):
-            self.misses += 1
-            return None
-        hit = schema.probe_disk(self.disk, request)
+        hit = None
+        if isinstance(context, JobRequest):
+            hit = self.disk.get_result(context.identity, context.config)
         if hit is None:
             self.misses += 1
             return None
@@ -132,16 +127,10 @@ class DiskRecordTier(ResultTier):
         return record_for_result(hit)
 
     def put(self, key: str, record: dict, context=None) -> None:
-        request = context
-        if not isinstance(request, JobRequest) \
-                or not schema.disk_mappable(request):
-            return
         result = record.get("result")
-        if isinstance(result, dict):
-            from repro.parallel.store import result_from_dict
-
-            schema.store_disk(self.disk, request,
-                              result_from_dict(result))
+        if isinstance(context, JobRequest) and isinstance(result, dict):
+            self.disk.put_result(context.identity, context.config,
+                                 result_from_dict(result))
 
 
 class TieredResultCache:
@@ -149,7 +138,7 @@ class TieredResultCache:
 
     The router consults :meth:`lookup_memory` synchronously on every
     submission (hot keys never suspend), and pushes
-    :meth:`probe_disk` to an executor for the cold path.  Completed
+    :meth:`lookup_disk` to an executor for the cold path.  Completed
     and disk-served records are admitted to the memory tier via
     :meth:`admit`, so key affinity turns into actual residency.
     """
@@ -172,7 +161,7 @@ class TieredResultCache:
             return None
         return self.memory.get(key)
 
-    def probe_disk(self, key: str, request: JobRequest) -> dict | None:
+    def lookup_disk(self, key: str, request: JobRequest) -> dict | None:
         """Blocking disk lookup (executor territory); a hit is
         promoted into the memory tier."""
         if self.disk_tier is None:

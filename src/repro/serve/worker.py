@@ -1,14 +1,15 @@
 """Pool-side worker for the simulation service.
 
 One call simulates one micro-batch: every entry shares a (benchmark
-alias, scale) pair, so the workload is built exactly once and each
-request's :class:`~repro.api.SimulationConfig` runs against it through
-the public :func:`repro.api.simulate` facade — which is what makes a
-served result byte-identical to a direct library call.  Because the
-facade defaults to the compiled-trace replay engine and memoizes the
-compiled trace on the workload, the whole micro-batch shares one trace
-compile: the first eligible entry lowers the workload, the rest replay
-(ineligible configs fall back to the live simulator per entry).
+alias, scale, animation) workload, and each request's
+:class:`~repro.api.SimulationConfig` runs through the public
+:func:`repro.api.simulate` facade over one
+:class:`~repro.api.WorkloadSource` — the same path a direct library
+call, the experiment providers and the process pool take, which is
+what makes a served result byte-identical to them.  The source finds
+the compiled trace once per batch: from the server's trace store when
+an earlier batch stored it, otherwise by building and compiling the
+workload and storing the trace for the batches that follow.
 
 Mirrors :func:`repro.parallel.engine.simulate_job_batch`'s fork
 hygiene: the batch runs under a scoped ``activation(None)`` so a
@@ -25,41 +26,40 @@ scheduler treats them accordingly.
 
 from __future__ import annotations
 
-from repro.api import simulate
+from repro.anim.spec import anim_from_payload
+from repro.api import WorkloadSource, simulate
 from repro.obs import trace as obs_trace
 from repro.parallel.store import result_to_dict
 from repro.serve import schema
-from repro.workloads.suite import BENCHMARKS, build_workload
+from repro.workloads.suite import BENCHMARKS, WorkloadIdentity
 
 
 def simulate_request_batch(alias: str, scale: float,
                            entries: tuple[tuple[str, dict], ...],
-                           anim_payload: dict | None = None
-                           ) -> list[dict]:
-    """Worker entry point: one workload build, then every config.
+                           anim_payload: dict | None = None,
+                           store=None) -> list[dict]:
+    """Worker entry point: one trace lookup, then every config.
 
     ``entries`` are ``(request_key, config_payload)`` pairs; the
     return value is one JSON-able record per entry — either
     ``{"key", "result", "metrics", "invariant_failures"}`` or
     ``{"key", "error"}``.  ``anim_payload`` (an ``AnimationSpec``
-    payload, shared by the whole batch) switches the build to the
-    coherent multi-frame animated workload.  Must stay a module-level
-    function: it is pickled by name into the process pool.
+    payload, shared by the whole batch) selects the coherent
+    multi-frame animated workload.  ``store`` is the server's
+    :class:`~repro.parallel.store.DiskCache` (or ``None``), read and
+    written for compiled traces.  Must stay a module-level function:
+    it is pickled by name into the process pool.
     """
     with obs_trace.activation(None):
-        if anim_payload is not None:
-            from repro.anim import anim_from_payload, build_animated_workload
-
-            workload = build_animated_workload(
-                BENCHMARKS[alias], anim_from_payload(anim_payload),
-                scale=scale)
-        else:
-            workload = build_workload(BENCHMARKS[alias], scale=scale)
+        anim = (anim_from_payload(anim_payload)
+                if anim_payload is not None else None)
+        source = WorkloadSource(
+            WorkloadIdentity(BENCHMARKS[alias], scale, anim), store=store)
         records: list[dict] = []
         for key, config_payload in entries:
             try:
-                config = schema.config_from_payload(config_payload)
-                run = simulate(workload, config)
+                run = simulate(source,
+                               schema.config_from_payload(config_payload))
             except Exception as exc:
                 records.append(
                     {"key": key,

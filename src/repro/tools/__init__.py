@@ -1,11 +1,5 @@
-"""Developer tooling: trace export/import and workload inspection."""
+"""Developer tooling: workload inspection."""
 
-from repro.tools.trace_io import (
-    dump_trace,
-    load_trace,
-    trace_to_records,
-)
 from repro.tools.inspect_workload import inspect as inspect_workload
 
-__all__ = ["dump_trace", "inspect_workload", "load_trace",
-           "trace_to_records"]
+__all__ = ["inspect_workload"]

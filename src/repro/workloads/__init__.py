@@ -7,6 +7,7 @@ from repro.workloads.suite import (
     BENCHMARK_ORDER,
     BenchmarkSpec,
     Workload,
+    WorkloadIdentity,
     build_workload,
 )
 from repro.workloads.background import BackgroundTrafficModel
@@ -20,5 +21,6 @@ __all__ = [
     "Op",
     "Region",
     "Workload",
+    "WorkloadIdentity",
     "build_workload",
 ]

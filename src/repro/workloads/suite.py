@@ -19,7 +19,7 @@ The primitive count is derived from the footprint model::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.config import DEFAULT_GPU, ParameterBufferConfig, ScreenConfig
 from repro.geometry.generator import SceneGenerator, SceneParameters
@@ -120,6 +120,41 @@ class Workload:
 
     def measured_footprint_mib(self) -> float:
         return self.traces[0].pb.footprint_bytes() / MIB
+
+
+@dataclass(frozen=True)
+class WorkloadIdentity:
+    """What a suite workload is built from: the benchmark, the geometry
+    scale and, for a coherent multi-frame sequence, the animation recipe
+    (a :class:`repro.anim.AnimationSpec`).  Builds are deterministic in
+    these, so they identify every compiled trace and simulation result
+    derived from the workload."""
+
+    spec: BenchmarkSpec
+    scale: float
+    anim: object | None = None
+
+    @classmethod
+    def of(cls, workload: Workload) -> "WorkloadIdentity":
+        return cls(workload.spec, workload.scale, workload.anim)
+
+    def build(self) -> Workload:
+        if self.anim is None:
+            return build_workload(self.spec, scale=self.scale)
+        from repro.anim import build_animated_workload
+
+        return build_animated_workload(self.spec, self.anim,
+                                       scale=self.scale)
+
+    def payload(self) -> dict:
+        """Canonical JSON-able form, as cache keys hash it."""
+        anim = None
+        if self.anim is not None:
+            from repro.anim.spec import anim_to_payload
+
+            anim = anim_to_payload(self.anim)
+        return {"spec": asdict(self.spec), "scale": float(self.scale),
+                "anim": anim}
 
 
 def build_workload(spec: BenchmarkSpec, scale: float = 1.0, frames: int = 1,

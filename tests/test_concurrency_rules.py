@@ -68,6 +68,18 @@ class TestBlockingCall:
         assert rules_of(result) == ["SIM201"]
         assert "future.result" in result.violations[0].message
 
+    def test_store_probe_on_the_loop(self):
+        result = run({"src/app/srv.py": """
+            async def handler(loop, disk, request):
+                hit = disk.get_result(request.identity, request.config)
+                await loop.run_in_executor(
+                    None, disk.put_result, request.identity,
+                    request.config, hit)
+        """}, select={"SIM201"})
+        assert rules_of(result) == ["SIM201"]
+        message = result.violations[0].message
+        assert "disk.get_result" in message and "handler" in message
+
     def test_awaited_and_dispatched_calls_are_clean(self):
         result = run({"src/app/srv.py": """
             import asyncio

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import KIB, TCORConfig
+from repro.api import SimulationConfig
+from repro.config import KIB
 from repro.experiments import common
 from repro.experiments.common import SimulationCache, format_table
 from repro.experiments.driver import resolve_names, run_experiments
@@ -23,10 +24,15 @@ from repro.parallel import (
     simulation_code_signature,
 )
 from repro.tcor.system import SystemResult
-from repro.workloads.suite import BENCHMARKS, build_workload
+from repro.workloads.suite import BENCHMARKS, WorkloadIdentity, build_workload
 
 ALIASES = ("GTr", "CCS")
 SCALE = 0.05
+GTR = WorkloadIdentity(BENCHMARKS["GTr"], SCALE)
+
+
+def baseline(size):
+    return SimulationConfig(kind="baseline", tile_cache_bytes=size)
 
 
 class TestEnumerateJobs:
@@ -77,8 +83,7 @@ class TestParallelSerialEquivalence:
         # The figure module's lookups must now be pure memo reads.
         def bomb(*args, **kwargs):
             raise AssertionError("prefetched result was re-simulated")
-        monkeypatch.setattr(common, "simulate_baseline", bomb)
-        monkeypatch.setattr(common, "simulate_tcor", bomb)
+        monkeypatch.setattr(common, "run_simulation", bomb)
         cache.baseline("GTr", 64 * KIB)
         cache.tcor("CCS", 128 * KIB)
 
@@ -86,6 +91,12 @@ class TestParallelSerialEquivalence:
         cache = ParallelSimulationCache(scale=SCALE, aliases=("GTr",), jobs=2)
         assert cache.prefetch(["fig14"]) == 4
         assert cache.prefetch(["fig14"]) == 0
+
+
+def compile_trace(identity):
+    from repro.replay import compile_workload
+
+    return compile_workload(identity.build())
 
 
 def make_result(alias="GTr", label="baseline"):
@@ -97,41 +108,38 @@ def make_result(alias="GTr", label="baseline"):
 class TestDiskCache:
     def test_round_trip_is_bit_identical(self, tmp_path):
         disk = DiskCache(tmp_path, signature="sig")
-        spec = BENCHMARKS["GTr"]
         result = make_result()
-        disk.put_baseline(spec, SCALE, 64 * KIB, result)
-        loaded = disk.get_baseline(spec, SCALE, 64 * KIB)
+        disk.put_result(GTR, baseline(64 * KIB), result)
+        loaded = disk.get_result(GTR, baseline(64 * KIB))
         assert loaded == result
 
     def test_signature_change_invalidates(self, tmp_path):
-        spec = BENCHMARKS["GTr"]
-        DiskCache(tmp_path, signature="old").put_baseline(
-            spec, SCALE, 64 * KIB, make_result())
-        assert DiskCache(tmp_path, signature="new").get_baseline(
-            spec, SCALE, 64 * KIB) is None
-        assert DiskCache(tmp_path, signature="old").get_baseline(
-            spec, SCALE, 64 * KIB) is not None
+        DiskCache(tmp_path, signature="old").put_result(
+            GTR, baseline(64 * KIB), make_result())
+        assert DiskCache(tmp_path, signature="new").get_result(
+            GTR, baseline(64 * KIB)) is None
+        assert DiskCache(tmp_path, signature="old").get_result(
+            GTR, baseline(64 * KIB)) is not None
 
     def test_distinct_configs_do_not_alias(self, tmp_path):
         disk = DiskCache(tmp_path, signature="sig")
-        spec = BENCHMARKS["GTr"]
-        disk.put_baseline(spec, SCALE, 64 * KIB, make_result())
-        assert disk.get_baseline(spec, SCALE, 128 * KIB) is None
-        assert disk.get_baseline(spec, 0.1, 64 * KIB) is None
-        assert disk.get_tcor(spec, SCALE, TCORConfig.for_total_size(64 * KIB),
-                             l2_enhancements=True) is None
+        disk.put_result(GTR, baseline(64 * KIB), make_result())
+        assert disk.get_result(GTR, baseline(128 * KIB)) is None
+        assert disk.get_result(WorkloadIdentity(BENCHMARKS["GTr"], 0.1),
+                               baseline(64 * KIB)) is None
+        assert disk.get_result(GTR, SimulationConfig(
+            kind="tcor", tile_cache_bytes=64 * KIB)) is None
 
     def test_corrupt_record_degrades_to_miss(self, tmp_path):
         disk = DiskCache(tmp_path, signature="sig")
-        spec = BENCHMARKS["GTr"]
-        disk.put_baseline(spec, SCALE, 64 * KIB, make_result())
+        disk.put_result(GTR, baseline(64 * KIB), make_result())
         for record in tmp_path.glob("*.json"):
             record.write_text("{ not json")
-        assert disk.get_baseline(spec, SCALE, 64 * KIB) is None
+        assert disk.get_result(GTR, baseline(64 * KIB)) is None
 
     def test_clear_removes_records(self, tmp_path):
         disk = DiskCache(tmp_path, signature="sig")
-        disk.put_baseline(BENCHMARKS["GTr"], SCALE, 64 * KIB, make_result())
+        disk.put_result(GTR, baseline(64 * KIB), make_result())
         assert disk.clear() == 1
         assert list(tmp_path.glob("*.json")) == []
 
@@ -145,7 +153,6 @@ class TestConcurrentDiskWriters:
         import threading
 
         disk = DiskCache(tmp_path, signature="sig")
-        spec = BENCHMARKS["GTr"]
         results = [make_result(label=f"writer-{i}") for i in range(8)]
         barrier = threading.Barrier(len(results))
         errors = []
@@ -154,7 +161,7 @@ class TestConcurrentDiskWriters:
             try:
                 barrier.wait(timeout=10)
                 for _ in range(5):
-                    disk.put_baseline(spec, SCALE, 64 * KIB, result)
+                    disk.put_result(GTR, baseline(64 * KIB), result)
             except Exception as exc:
                 errors.append(exc)
 
@@ -166,18 +173,17 @@ class TestConcurrentDiskWriters:
             thread.join(timeout=30)
         assert errors == []
         # Whoever won, the record is a complete, loadable result.
-        loaded = disk.get_baseline(spec, SCALE, 64 * KIB)
+        loaded = disk.get_result(GTR, baseline(64 * KIB))
         assert loaded in results
 
     def test_no_temp_files_left_behind(self, tmp_path):
         import threading
 
         disk = DiskCache(tmp_path, signature="sig")
-        spec = BENCHMARKS["GTr"]
         threads = [
             threading.Thread(
-                target=lambda size=size: disk.put_baseline(
-                    spec, SCALE, size, make_result()))
+                target=lambda size=size: disk.put_result(
+                    GTR, baseline(size), make_result()))
             for size in (32 * KIB, 64 * KIB, 128 * KIB, 256 * KIB)
         ]
         for thread in threads:
@@ -194,7 +200,6 @@ class TestConcurrentDiskWriters:
         from repro.parallel import store as store_module
 
         a = store_module.DiskCache(tmp_path, signature="sig")
-        spec = BENCHMARKS["GTr"]
         seen = set()
         original_replace = store_module.os.replace
 
@@ -206,7 +211,7 @@ class TestConcurrentDiskWriters:
         store_module.os.replace = spy
         try:
             for _ in range(3):
-                a.put_baseline(spec, SCALE, 64 * KIB, make_result())
+                a.put_result(GTR, baseline(64 * KIB), make_result())
         finally:
             store_module.os.replace = original_replace
         assert len(seen) == 3
@@ -232,10 +237,9 @@ class TestTraceStoreVersioning:
 
     def test_trace_round_trip(self, tmp_path):
         disk = DiskCache(tmp_path, trace_signature="tsig")
-        spec = BENCHMARKS["GTr"]
         _, trace = self._compile()
-        disk.put_trace(spec, 0.05, trace)
-        loaded = disk.get_trace(spec, 0.05)
+        disk.put_trace(GTR, trace)
+        loaded = disk.get_trace(GTR)
         assert loaded is not None
         assert loaded.num_accesses == trace.num_accesses
         assert loaded.header.as_dict() == trace.header.as_dict()
@@ -245,30 +249,45 @@ class TestTraceStoreVersioning:
         from repro.replay import ir
 
         disk = DiskCache(tmp_path, trace_signature="tsig")
-        spec = BENCHMARKS["GTr"]
         _, trace = self._compile()
         # Persist the archive stamped as the pre-animation v1 layout,
         # as an older build of the repo would have written it.
         with monkeypatch.context() as patch:
             patch.setattr(ir, "TRACE_IR_VERSION", 1)
-            disk.put_trace(spec, 0.05, trace)
+            disk.put_trace(GTR, trace)
         assert len(list(tmp_path.glob("trace-*.npz"))) == 1
         # Today's reader must refuse it (miss), not replay garbage.
-        assert disk.get_trace(spec, 0.05) is None
+        assert disk.get_trace(GTR) is None
         assert disk.misses == 1
+
+    def test_truncated_archive_is_a_clean_miss(self, tmp_path):
+        """A half-written archive (a crash mid-write, a full disk) must
+        read as a miss, so the caller recompiles and overwrites it."""
+        disk = DiskCache(tmp_path, trace_signature="tsig")
+        snp = WorkloadIdentity(BENCHMARKS["Snp"], SCALE)
+        disk.put_trace(snp, compile_trace(snp))
+        (archive,) = tmp_path.glob("trace-*.npz")
+        data = archive.read_bytes()
+        archive.write_bytes(data[:len(data) // 2])
+        assert disk.get_trace(snp) is None
+        assert disk.misses == 1
+        disk.put_trace(snp, compile_trace(snp))
+        assert disk.get_trace(snp) is not None
 
     def test_animated_traces_do_not_alias_static_ones(self, tmp_path):
         from repro.anim import AnimationSpec
 
         disk = DiskCache(tmp_path, trace_signature="tsig")
-        spec = BENCHMARKS["GTr"]
         anim = AnimationSpec(frames=3, path="orbit", seed=5)
         _, animated = self._compile(anim=anim)
-        disk.put_trace(spec, 0.05, animated, anim=anim)
+        disk.put_trace(WorkloadIdentity(BENCHMARKS["GTr"], 0.05, anim),
+                       animated)
         # Static lookups miss; the animated key hits with all frames.
-        assert disk.get_trace(spec, 0.05) is None
-        assert disk.get_trace(spec, 0.05, anim=anim.prefix(2)) is None
-        loaded = disk.get_trace(spec, 0.05, anim=anim)
+        assert disk.get_trace(GTR) is None
+        assert disk.get_trace(WorkloadIdentity(
+            BENCHMARKS["GTr"], 0.05, anim.prefix(2))) is None
+        loaded = disk.get_trace(
+            WorkloadIdentity(BENCHMARKS["GTr"], 0.05, anim))
         assert loaded is not None
         assert len(loaded.frames) == 3
         for frame, frame_loaded in zip(animated.frames, loaded.frames):
@@ -350,8 +369,7 @@ class TestDiskBackedSimulationCache:
 
         def bomb(*args, **kwargs):
             raise AssertionError("disk-cached result was re-simulated")
-        monkeypatch.setattr(common, "simulate_baseline", bomb)
-        monkeypatch.setattr(common, "simulate_tcor", bomb)
+        monkeypatch.setattr(common, "run_simulation", bomb)
         cold = SimulationCache(scale=SCALE, aliases=("GTr",),
                                disk=DiskCache(tmp_path, signature="sig"))
         assert cold.baseline("GTr", 64 * KIB) == first
@@ -404,8 +422,7 @@ class TestTableCache:
         assert edited.get_tables("fig14", SCALE, ALIASES) is None
         # SystemResult records key on the simulator signature alone, so
         # a sweep/formatting edit leaves them warm.
-        assert edited.get_baseline(BENCHMARKS["GTr"], SCALE,
-                                   64 * KIB) is not None
+        assert edited.get_result(GTR, baseline(64 * KIB)) is not None
 
 
 class TestJobBatchWorker:

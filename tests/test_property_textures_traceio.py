@@ -1,22 +1,10 @@
-"""Property-based tests: texture addressing and trace serialization."""
-
-import io
+"""Property-based tests: texture addressing."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.pbuffer.pmd import NO_NEXT_TILE, TcorPMD
 from repro.textures.texture import BLOCK_BYTES, MipmappedTexture
 from repro.textures.sampler import TextureSampler
-from repro.tiling.events import (
-    AttributeRead,
-    AttributeWrite,
-    PmdRead,
-    PmdWrite,
-    TileDone,
-)
-from repro.tiling.engine import TilingTrace
-from repro.tools.trace_io import dump_trace, load_trace
 
 powers = st.sampled_from([8, 16, 64, 256])
 
@@ -47,40 +35,3 @@ def test_mip_levels_partition_the_address_space(width, height):
         assert a_hi == b_lo  # contiguous, no gaps or overlap
     assert spans[-1][1] == texture.total_bytes
 
-
-pmds = st.builds(TcorPMD,
-                 primitive_id=st.integers(0, (1 << 16) - 1),
-                 num_attributes=st.integers(1, 15),
-                 opt_number=st.integers(0, NO_NEXT_TILE))
-
-events = st.one_of(
-    st.builds(PmdWrite, tile_id=st.integers(0, 4000),
-              position=st.integers(0, 1023), pmd=pmds),
-    st.builds(AttributeWrite, primitive_id=st.integers(0, 60000),
-              num_attributes=st.integers(1, 15),
-              opt_number=st.integers(0, NO_NEXT_TILE),
-              last_use_rank=st.integers(0, NO_NEXT_TILE)),
-    st.builds(PmdRead, tile_id=st.integers(0, 4000),
-              tile_rank=st.integers(0, 4000),
-              position=st.integers(0, 1023), pmd=pmds),
-    st.builds(AttributeRead, primitive_id=st.integers(0, 60000),
-              num_attributes=st.integers(1, 15),
-              opt_number=st.integers(0, NO_NEXT_TILE),
-              tile_rank=st.integers(0, 4000),
-              last_use_rank=st.integers(0, NO_NEXT_TILE)),
-    st.builds(TileDone, tile_id=st.integers(0, 4000),
-              tile_rank=st.integers(0, 4000)),
-)
-
-
-@given(build=st.lists(events, max_size=25),
-       fetch=st.lists(events, max_size=25))
-@settings(max_examples=80, deadline=None)
-def test_trace_io_roundtrip_arbitrary_events(build, fetch):
-    trace = TilingTrace(pb=None, build_events=build, fetch_events=fetch)
-    buffer = io.StringIO()
-    dump_trace(trace, buffer)
-    buffer.seek(0)
-    loaded_build, loaded_fetch = load_trace(buffer)
-    assert loaded_build == build
-    assert loaded_fetch == fetch

@@ -29,7 +29,6 @@ from repro.replay import (
     replay_baseline,
     replay_tcor,
     save_trace,
-    try_replay,
 )
 from repro.tcor import system
 from repro.workloads.suite import BENCHMARK_ORDER, BENCHMARKS, build_workload
@@ -86,8 +85,9 @@ class TestMetricNames:
     def test_conservation_invariants_attach_on_replay(self):
         obs = Observation(MetricsRegistry())
         workload = build_workload(BENCHMARKS["GTr"], scale=0.1)
-        result = try_replay(workload, SimulationConfig(kind="tcor"), obs)
-        assert result is not None
+        run = simulate(workload, SimulationConfig(kind="tcor"), obs=obs,
+                       engine="replay")
+        assert run.ok
         assert obs.registry.check_invariants() == []
         snapshot = obs.snapshot()
         assert "live.system.pb_l2_reads" in snapshot
@@ -218,28 +218,33 @@ class TestRoundTrip:
 
 
 class TestReplayGates:
-    """Replay must stand aside whenever the live path is required."""
+    """Replay must stand aside whenever the live path is required: the
+    forced replay engine refuses, and the default engine falls back to
+    the live simulator with the live result."""
 
     def test_env_escape_hatch(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_REPLAY", "1")
         workload = build_workload(BENCHMARKS["GTr"], scale=0.05)
-        assert try_replay(workload, SimulationConfig()) is None
         with pytest.raises(ReplayUnsupportedError):
             simulate(workload, engine="replay")
+        assert simulate(workload).result == \
+            simulate(workload, engine="live").result
 
     def test_attached_tracer_forces_live(self):
         from repro.obs import Tracer
 
         workload = build_workload(BENCHMARKS["GTr"], scale=0.05)
         obs = Observation(MetricsRegistry(), tracer=Tracer(sinks=[]))
-        assert try_replay(workload, SimulationConfig(), obs) is None
+        with pytest.raises(ReplayUnsupportedError):
+            simulate(workload, obs=obs, engine="replay")
 
     def test_global_tracer_forces_live(self):
         from repro.obs import Tracer, activation
 
         workload = build_workload(BENCHMARKS["GTr"], scale=0.05)
         with activation(Tracer(sinks=[])):
-            assert try_replay(workload, SimulationConfig()) is None
+            with pytest.raises(ReplayUnsupportedError):
+                simulate(workload, engine="replay")
 
     def test_unsupported_geometry_falls_back(self):
         from repro.config import DEFAULT_GPU
@@ -250,6 +255,7 @@ class TestReplayGates:
             l2_cache=dataclasses.replace(DEFAULT_GPU.l2_cache,
                                          line_bytes=32))
         config = SimulationConfig(kind="baseline", gpu=small)
-        assert try_replay(workload, config) is None
         with pytest.raises(ReplayUnsupportedError):
-            try_replay(workload, config, require=True)
+            simulate(workload, config, engine="replay")
+        assert simulate(workload, config).result == \
+            simulate(workload, config, engine="live").result

@@ -219,7 +219,7 @@ class TestDiskTierLane:
         disk = DiskCache(tmp_path, signature="cluster-sig")
         request = JobRequest(alias="GTr", scale=SCALE)
         stored = SystemResult(label="stored-run", alias="GTr")
-        schema.store_disk(disk, request, stored)
+        disk.put_result(request.identity, request.config, stored)
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             dead = probe.getsockname()[1]

@@ -98,13 +98,13 @@ class TestByteIdenticalEquivalence:
 
     def test_serve_shares_records_with_the_experiment_store(
             self, tmp_path):
-        """A store warmed by the *experiment* path (put_tcor) is warm
+        """A store warmed by the *experiment* path (put_result) is warm
         for the server — the two subsystems really share records."""
         config = SimulationConfig(kind="tcor")
         request = JobRequest(alias="GTr", scale=SCALE, config=config)
         direct = direct_run("GTr", config)
         disk = DiskCache(tmp_path, signature=simulation_code_signature())
-        schema.store_disk(disk, request, direct.result)
+        disk.put_result(request.identity, request.config, direct.result)
         with InProcessServer(jobs=1, disk=disk) as server:
             with server.client() as client:
                 served = client.run(request, timeout_s=60)

@@ -31,7 +31,7 @@ def make_result(alias="GTr", label="tcor"):
                         mm_reads=3, structure_accesses={"l2": 42})
 
 
-def good_records(alias, scale, entries, anim_payload=None):
+def good_records(alias, scale, entries, anim_payload=None, store=None):
     return [{"key": key, "result": result_to_dict(make_result(alias)),
              "metrics": {"fake.metric": 1.0}, "invariant_failures": []}
             for key, _config in entries]
@@ -97,7 +97,7 @@ class TestCoalescing:
     def test_identical_keys_share_one_job(self, monkeypatch):
         calls = []
 
-        def worker(alias, scale, entries, anim_payload=None):
+        def worker(alias, scale, entries, anim_payload=None, store=None):
             calls.append(entries)
             return good_records(alias, scale, entries)
         monkeypatch.setattr(scheduler_module, "simulate_request_batch",
@@ -122,7 +122,7 @@ class TestMicroBatching:
     def test_compatible_jobs_share_one_worker_call(self, monkeypatch):
         calls = []
 
-        def worker(alias, scale, entries, anim_payload=None):
+        def worker(alias, scale, entries, anim_payload=None, store=None):
             calls.append((alias, len(entries)))
             return good_records(alias, scale, entries)
         monkeypatch.setattr(scheduler_module, "simulate_request_batch",
@@ -143,7 +143,7 @@ class TestMicroBatching:
     def test_interactive_lane_goes_first(self, monkeypatch):
         order = []
 
-        def worker(alias, scale, entries, anim_payload=None):
+        def worker(alias, scale, entries, anim_payload=None, store=None):
             order.append(alias)
             return good_records(alias, scale, entries)
         monkeypatch.setattr(scheduler_module, "simulate_request_batch",
@@ -195,7 +195,7 @@ class TestAdmissionControl:
     def test_drain_finishes_inflight_work(self, monkeypatch):
         release = threading.Event()
 
-        def worker(alias, scale, entries, anim_payload=None):
+        def worker(alias, scale, entries, anim_payload=None, store=None):
             release.wait(5)
             return good_records(alias, scale, entries)
         monkeypatch.setattr(scheduler_module, "simulate_request_batch",
@@ -222,7 +222,7 @@ class TestFailureModes:
     def test_pool_error_retries_then_succeeds(self, monkeypatch):
         attempts = []
 
-        def worker(alias, scale, entries, anim_payload=None):
+        def worker(alias, scale, entries, anim_payload=None, store=None):
             attempts.append(1)
             if len(attempts) == 1:
                 raise RuntimeError("transient pool failure")
@@ -239,7 +239,7 @@ class TestFailureModes:
         run_with_scheduler(body, max_attempts=2)
 
     def test_attempt_budget_exhausts_to_failed(self, monkeypatch):
-        def worker(alias, scale, entries, anim_payload=None):
+        def worker(alias, scale, entries, anim_payload=None, store=None):
             raise RuntimeError("persistent pool failure")
         monkeypatch.setattr(scheduler_module, "simulate_request_batch",
                             worker)
@@ -254,7 +254,7 @@ class TestFailureModes:
         run_with_scheduler(body, max_attempts=2)
 
     def test_deterministic_sim_error_is_not_retried(self, monkeypatch):
-        def worker(alias, scale, entries, anim_payload=None):
+        def worker(alias, scale, entries, anim_payload=None, store=None):
             return [{"key": key, "error": "ValueError: bad geometry"}
                     for key, _config in entries]
         monkeypatch.setattr(scheduler_module, "simulate_request_batch",
@@ -276,7 +276,7 @@ class TestFailureModes:
             pools_made.append(1)
             return ThreadPoolExecutor(max_workers=jobs)
 
-        def worker(alias, scale, entries, anim_payload=None):
+        def worker(alias, scale, entries, anim_payload=None, store=None):
             import time
             time.sleep(0.4)
             return good_records(alias, scale, entries)
@@ -297,7 +297,7 @@ class TestFailureModes:
     def test_failed_key_can_be_resubmitted(self, monkeypatch):
         attempts = []
 
-        def worker(alias, scale, entries, anim_payload=None):
+        def worker(alias, scale, entries, anim_payload=None, store=None):
             attempts.append(1)
             if len(attempts) == 1:
                 return [{"key": key, "error": "ValueError: flaky input"}
@@ -319,7 +319,7 @@ class TestFailureModes:
 
 
 class FakeDisk:
-    """Duck-typed stand-in for the PR 2 DiskCache."""
+    """Duck-typed stand-in for the DiskCache."""
 
     signature = "fake-sig"
 
@@ -327,22 +327,16 @@ class FakeDisk:
         self.warm = warm
         self.put_calls = []
 
-    def get_tcor(self, spec, scale, tcor, *, l2_enhancements):
+    def get_result(self, identity, config):
         return self.warm
 
-    def get_baseline(self, spec, scale, size_bytes):
-        return self.warm
-
-    def put_tcor(self, spec, scale, tcor, *, l2_enhancements, result):
-        self.put_calls.append(("tcor", spec.alias, result))
-
-    def put_baseline(self, spec, scale, size_bytes, result):
-        self.put_calls.append(("baseline", spec.alias, result))
+    def put_result(self, identity, config, result):
+        self.put_calls.append((config.kind, identity.spec.alias, result))
 
 
 class TestDiskLane:
     def test_warm_key_never_takes_a_pool_slot(self, monkeypatch):
-        def bomb(alias, scale, entries, anim_payload=None):
+        def bomb(alias, scale, entries, anim_payload=None, store=None):
             raise AssertionError("disk-warm job reached the pool")
         monkeypatch.setattr(scheduler_module, "simulate_request_batch",
                             bomb)
@@ -359,19 +353,22 @@ class TestDiskLane:
 
         run_with_scheduler(body, disk=disk)
 
-    def test_unmappable_requests_bypass_the_disk(self, monkeypatch):
+    def test_every_request_reaches_the_disk_lane(self, monkeypatch):
+        """Non-standard knobs are part of the one key, so such requests
+        are served from the store like any other."""
+        def bomb(alias, scale, entries, anim_payload=None, store=None):
+            raise AssertionError("disk-warm job reached the pool")
         monkeypatch.setattr(scheduler_module, "simulate_request_batch",
-                            good_records)
+                            bomb)
         disk = FakeDisk(warm=make_result())
 
         async def body(sched):
-            bypass = JobRequest(alias="GTr", scale=SCALE,
-                                config=SimulationConfig(
-                                    include_background=False))
-            job, _ = sched.submit(bypass)
+            job, _ = sched.submit(JobRequest(
+                alias="GTr", scale=SCALE,
+                config=SimulationConfig(include_background=False)))
             await asyncio.wait_for(job.done.wait(), 5)
-            assert job.lane == "pool"
-            assert sched.metrics.value("disk_hits") == 0
+            assert job.lane == "disk"
+            assert sched.metrics.value("disk_hits") == 1
 
         run_with_scheduler(body, disk=disk)
 
@@ -398,7 +395,7 @@ class TestDiskLane:
         # The fast lane costs one thread hand-off per micro-batch, not
         # one per job (the SIM201 fix): three warm submissions in one
         # window must reach the store through a single batched probe.
-        def bomb(alias, scale, entries, anim_payload=None):
+        def bomb(alias, scale, entries, anim_payload=None, store=None):
             raise AssertionError("disk-warm job reached the pool")
         monkeypatch.setattr(scheduler_module, "simulate_request_batch",
                             bomb)

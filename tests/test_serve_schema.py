@@ -7,13 +7,14 @@ import json
 
 import pytest
 
+from repro.anim import AnimationSpec
 from repro.api import SimulationConfig
 from repro.config import DEFAULT_GPU, DEFAULT_TCOR, KIB, TCORConfig
 from repro.parallel import DiskCache
 from repro.serve import schema
 from repro.serve.schema import JobRequest, ServeError
 from repro.tcor.system import SystemResult
-from repro.workloads.suite import BENCHMARKS
+from repro.workloads.suite import BENCHMARKS, WorkloadIdentity
 
 SCALE = 0.05
 
@@ -143,37 +144,60 @@ class TestValidation:
 
 
 class TestDiskMapping:
-    def test_standard_knobs_are_mappable(self):
-        assert schema.disk_mappable(JobRequest(alias="GTr", scale=SCALE))
+    """Every request maps onto the store under its one key."""
 
-    def test_non_standard_knobs_bypass_the_disk_lane(self):
-        assert not schema.disk_mappable(JobRequest(
-            alias="GTr", scale=SCALE,
-            config=SimulationConfig(gpu=DEFAULT_GPU)))
-        assert not schema.disk_mappable(JobRequest(
-            alias="GTr", scale=SCALE,
-            config=SimulationConfig(include_background=False)))
-        assert not schema.disk_mappable(JobRequest(
-            alias="GTr", scale=SCALE,
-            config=SimulationConfig(interleaved_lists=False)))
+    def test_standard_knobs_are_mappable(self, tmp_path):
+        disk = DiskCache(tmp_path, signature="sig")
+        request = JobRequest(alias="GTr", scale=SCALE)
+        result = SystemResult(label="tcor", alias="GTr", mm_reads=9)
+        assert schema.probe_disk_batch(disk, [request]) == [None]
+        schema.store_disk_batch(disk, [(request, result)])
+        assert schema.probe_disk_batch(disk, [request]) == [result]
+
+    def test_non_standard_requests_round_trip_through_the_store(
+            self, tmp_path):
+        """Animated, Rendering Elimination, custom-GPU and
+        no-background requests are stored like any other, each under
+        its own record."""
+        disk = DiskCache(tmp_path, signature="sig")
+        requests = [
+            JobRequest(alias="GTr", scale=SCALE,
+                       anim=AnimationSpec(frames=2, path="orbit", seed=3)),
+            JobRequest(alias="GTr", scale=SCALE,
+                       config=SimulationConfig(rendering_elimination=True)),
+            JobRequest(alias="GTr", scale=SCALE,
+                       config=SimulationConfig(gpu=dataclasses.replace(
+                           DEFAULT_GPU, l2_cache=dataclasses.replace(
+                               DEFAULT_GPU.l2_cache, line_bytes=32)))),
+            JobRequest(alias="GTr", scale=SCALE,
+                       config=SimulationConfig(include_background=False)),
+        ]
+        results = [SystemResult(label="tcor", alias="GTr", mm_reads=index)
+                   for index in range(len(requests))]
+        plain = JobRequest(alias="GTr", scale=SCALE)
+        schema.store_disk_batch(disk, list(zip(requests, results)))
+        assert schema.probe_disk_batch(disk, requests) == results
+        assert schema.probe_disk_batch(disk, [plain]) == [None]
+        assert disk.stores == len(requests)
 
     def test_tcor_resolution_mirrors_the_simulator(self):
         """Explicit config wins, then the total-budget split, then the
         paper default — :func:`repro.tcor.system.simulate_tcor`'s
         order."""
         explicit = TCORConfig.for_total_size(32 * KIB)
-        assert schema.effective_tcor_config(
-            SimulationConfig(tcor=explicit)) is explicit
-        assert schema.effective_tcor_config(
-            SimulationConfig(tile_cache_bytes=64 * KIB)) == \
+        assert SimulationConfig(tcor=explicit).resolved().tcor is explicit
+        assert SimulationConfig(
+            tile_cache_bytes=64 * KIB).resolved().tcor == \
             TCORConfig.for_total_size(64 * KIB)
-        assert schema.effective_tcor_config(SimulationConfig()) == \
-            DEFAULT_TCOR
+        assert SimulationConfig().resolved().tcor == DEFAULT_TCOR
 
     def test_baseline_budget_resolution(self):
-        assert schema.effective_tile_cache_bytes(
-            SimulationConfig(tile_cache_bytes=64 * KIB)) == 64 * KIB
-        assert schema.effective_tile_cache_bytes(SimulationConfig()) == \
+        def budget(config):
+            return config.resolved().gpu.tile_cache.size_bytes
+
+        assert budget(SimulationConfig(
+            kind="baseline", tile_cache_bytes=64 * KIB)) == 64 * KIB
+        assert budget(SimulationConfig(kind="baseline")) == \
             DEFAULT_GPU.tile_cache.size_bytes
 
     def test_probe_and_store_share_records_with_the_experiment_store(
@@ -181,21 +205,21 @@ class TestDiskMapping:
         """A record written through the serve mapping is the record
         ``tcor-experiments`` reads, and vice versa."""
         disk = DiskCache(tmp_path, signature="sig")
-        spec = BENCHMARKS["GTr"]
+        identity = WorkloadIdentity(BENCHMARKS["GTr"], SCALE)
         result = SystemResult(label="tcor", alias="GTr", mm_reads=9)
 
         request = JobRequest(alias="GTr", scale=SCALE,
                              config=SimulationConfig(
                                  tile_cache_bytes=64 * KIB))
-        schema.store_disk(disk, request, result)
-        assert disk.get_tcor(spec, SCALE,
-                             TCORConfig.for_total_size(64 * KIB),
-                             l2_enhancements=True) == result
+        schema.store_disk_batch(disk, [(request, result)])
+        assert disk.get_result(identity, SimulationConfig(
+            kind="tcor", tcor=TCORConfig.for_total_size(64 * KIB))) == result
 
         baseline = dataclasses.replace(result, label="baseline")
-        disk.put_baseline(spec, SCALE, 64 * KIB, baseline)
+        disk.put_result(identity, SimulationConfig(
+            kind="baseline", tile_cache_bytes=64 * KIB), baseline)
         probe = JobRequest(alias="GTr", scale=SCALE,
                            config=SimulationConfig(
                                kind="baseline",
                                tile_cache_bytes=64 * KIB))
-        assert schema.probe_disk(disk, probe) == baseline
+        assert schema.probe_disk_batch(disk, [probe]) == [baseline]

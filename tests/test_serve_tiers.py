@@ -104,14 +104,17 @@ class TestDiskRecordTier:
         assert loaded["result"] == record["result"]
         assert (tier.hits, tier.misses) == (1, 1)
 
-    def test_non_mappable_requests_bypass_the_store(self, disk):
+    def test_non_standard_requests_round_trip_through_the_store(self, disk):
         tier = DiskRecordTier(disk)
-        request = JobRequest(alias="GTr", scale=0.05,
-                             config=SimulationConfig(
-                                 include_background=False))
-        tier.put("key", fake_record("a"), request)
-        assert tier.get("key", request) is None
-        assert tier.hits == 0
+        plain = JobRequest(alias="GTr", scale=0.05)
+        custom = JobRequest(alias="GTr", scale=0.05,
+                            config=SimulationConfig(
+                                include_background=False))
+        tier.put("key", fake_record("a"), custom)
+        assert tier.get("key", custom)["result"] == \
+            fake_record("a")["result"]
+        assert tier.get("key", plain) is None
+        assert (tier.hits, tier.misses) == (1, 1)
 
     def test_missing_context_is_a_miss(self, disk):
         tier = DiskRecordTier(disk)
@@ -130,7 +133,7 @@ class TestTieredResultCache:
         record["metrics"] = {}
         tiered.disk_tier.put("key", record, request)
         assert tiered.lookup_memory("key") is None
-        hit = tiered.probe_disk("key", request)
+        hit = tiered.lookup_disk("key", request)
         assert hit is not None
         assert tiered.lookup_memory("key") == hit  # promoted
         snapshot = tiered.snapshot()
