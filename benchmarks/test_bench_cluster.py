@@ -31,9 +31,8 @@ from benchmarks.conftest import run_once
 from repro.api import SimulationConfig
 from repro.config import KIB
 from repro.serve import InProcessServer, JobRequest
-from repro.serve.cluster import Router, parse_backends
+from repro.serve.cluster import MemoryTier, Router, parse_backends
 from repro.serve.ring import HashRing
-from repro.serve.tiers import MemoryTier, TieredResultCache
 
 # The soak measures the serving fabric, not the simulator: a small
 # fixed geometry keeps the 64 distinct simulations in the seconds
@@ -105,7 +104,7 @@ def test_cluster_soak_with_backend_kill(benchmark, tmp_path):
             parse_backends([{"name": name,
                              "address": f"127.0.0.1:{ports[name]}"}
                             for name in SHARDS]),
-            tier=TieredResultCache(memory=MemoryTier(8 << 20)),
+            memory=MemoryTier(8 << 20),
             memo_limit=4, probe_interval_s=0.2, fail_threshold=1,
             retry_backoff_s=0.05, max_forward_attempts=6,
             forward_timeout_s=300.0)

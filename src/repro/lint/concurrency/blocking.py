@@ -41,7 +41,7 @@ FILE_IO_LEAVES = frozenset({"read_text", "write_text", "read_bytes",
                             "write_bytes"})
 # The store's synchronous entry points and the serve layer's bridges to
 # them: correct inside an executor, wrong on the loop.
-DISK_CACHE_LEAVES = frozenset({"get_result", "put_result", "lookup_disk",
+DISK_CACHE_LEAVES = frozenset({"get_result", "put_result",
                                "probe_disk_batch", "store_disk_batch"})
 
 _MAX_DEPTH = 4

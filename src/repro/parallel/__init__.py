@@ -24,7 +24,6 @@ from repro.parallel.engine import (
 from repro.parallel.store import (
     DEFAULT_CACHE_DIR,
     DiskCache,
-    ResultTier,
     experiment_code_signature,
     result_from_dict,
     result_to_dict,
@@ -37,7 +36,6 @@ __all__ = [
     "DiskCache",
     "EXPERIMENT_VARIANTS",
     "ParallelSimulationCache",
-    "ResultTier",
     "SimJob",
     "enumerate_jobs",
     "experiment_code_signature",

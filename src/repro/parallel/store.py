@@ -25,7 +25,6 @@ import os
 import threading
 import zipfile
 import zlib
-from abc import ABC, abstractmethod
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -163,43 +162,6 @@ def result_from_dict(data: dict) -> SystemResult:
     names = {f.name for f in fields(SystemResult)}
     return SystemResult(**{key: value for key, value in data.items()
                            if key in names})
-
-
-class ResultTier(ABC):
-    """One level of a tiered result cache (memory → disk → compute).
-
-    The serving layer stacks tiers in front of the shared
-    :class:`DiskCache`: a router-local in-memory LRU first, then the
-    concurrent-writer-safe disk store every worker and CLI shares.
-    The contract is deliberately tiny — records are the JSON-able
-    ``{"result", "metrics", "invariant_failures"}`` dicts the wire
-    schema already speaks, keyed by the deterministic request key —
-    so a tier neither knows nor cares what sits above or below it.
-
-    ``context`` carries whatever the tier needs beyond the key (the
-    disk tier hands the originating request's identity and config to
-    the store, which derives the same key; the memory tier ignores
-    it).  Implementations
-    count their own ``hits``/``misses`` so hit-rate metrics fall out
-    of a snapshot, not instrumentation at every call site.
-    """
-
-    name: str = "tier"
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-    @abstractmethod
-    def get(self, key: str, context=None) -> dict | None:
-        """The cached record for ``key``, or ``None`` on a miss."""
-
-    @abstractmethod
-    def put(self, key: str, record: dict, context=None) -> None:
-        """Admit one record; eviction policy is the tier's business."""
-
-    def stats_line(self) -> str:
-        return f"{self.name} tier: {self.hits} hits, {self.misses} misses"
 
 
 # Distinguishes temp files written by concurrent threads of one process

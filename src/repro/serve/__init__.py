@@ -9,18 +9,21 @@ DESIGN.md, "The serving layer" and "The sharded cluster"):
   :class:`ServeError`), its version negotiation, and the deterministic
   request key that powers coalescing, the disk-warm lane and the
   cluster's key-affinity sharding;
-- :mod:`~repro.serve.scheduler` — admission control, micro-batching,
-  in-flight coalescing, priority lanes, cache-aware ordering, retry /
-  timeout / watchdog robustness over one process pool;
+- :mod:`~repro.serve.jobs` — the job table both front ends share:
+  admission control, in-flight coalescing, the finished-job memo and
+  the graceful drain;
+- :mod:`~repro.serve.scheduler` — micro-batching, priority lanes, the
+  disk-warm lane, retry / timeout / watchdog robustness over one
+  process pool;
 - :mod:`~repro.serve.server` — the stdlib ``asyncio`` front door
   speaking newline-delimited JSON and a thin HTTP/1.1 subset
   (``/submit``, ``/status/<id>``, ``/result/<id>``, ``/healthz``,
   ``/metrics``) on one port;
-- :mod:`~repro.serve.ring` / :mod:`~repro.serve.tiers` /
-  :mod:`~repro.serve.cluster` — the sharded cluster: a consistent-hash
-  :class:`HashRing`, the memory-over-disk :class:`TieredResultCache`,
-  and the :class:`Router` that forwards to health-checked backend
-  workers behind the same front door;
+- :mod:`~repro.serve.ring` / :mod:`~repro.serve.cluster` — the
+  sharded cluster: a consistent-hash :class:`HashRing` and the
+  :class:`Router`, which resolves a key through its memo, its
+  :class:`MemoryTier`, the shared store and finally a health-checked
+  backend shard, behind the same front door;
 - :mod:`~repro.serve.client` — the blocking NDJSON client (one
   address, a list, or the router — with typed errors and failover);
 - :mod:`~repro.serve.handle` — :func:`connect` /
@@ -39,7 +42,7 @@ service (and the cluster) to it.
 """
 
 from repro.serve.client import ServeClient, ServeClientError
-from repro.serve.cluster import Backend, Router, parse_backends
+from repro.serve.cluster import Backend, MemoryTier, Router, parse_backends
 from repro.serve.handle import ServeHandle, connect
 from repro.serve.inprocess import InProcessServer
 from repro.serve.metrics import ClusterMetrics, ServeMetrics
@@ -55,7 +58,6 @@ from repro.serve.schema import (
     versions_compatible,
 )
 from repro.serve.server import SimulationServer
-from repro.serve.tiers import MemoryTier, TieredResultCache
 
 __all__ = [
     "Backend",
@@ -75,7 +77,6 @@ __all__ = [
     "ServeHandle",
     "ServeMetrics",
     "SimulationServer",
-    "TieredResultCache",
     "connect",
     "parse_backends",
     "request_key",

@@ -108,11 +108,11 @@ def _open_disk(cache_dir: Path | None) -> DiskCache:
 
 
 def _build_router(args: argparse.Namespace, disk):
-    from repro.serve.cluster import Router, parse_backends
-    from repro.serve.tiers import (
+    from repro.serve.cluster import (
         DEFAULT_MEMORY_TIER_BYTES,
         MemoryTier,
-        TieredResultCache,
+        Router,
+        parse_backends,
     )
 
     spec = json.loads(args.router.read_text())
@@ -120,13 +120,12 @@ def _build_router(args: argparse.Namespace, disk):
               if args.memory_tier_bytes is not None
               else DEFAULT_MEMORY_TIER_BYTES)
     memory = MemoryTier(budget) if budget > 0 else None
-    tier = TieredResultCache(memory=memory, disk=disk)
     overrides = {}
     if args.probe_interval is not None:
         overrides["probe_interval_s"] = args.probe_interval
     if args.fail_threshold is not None:
         overrides["fail_threshold"] = args.fail_threshold
-    return Router(parse_backends(spec), tier=tier,
+    return Router(parse_backends(spec), memory=memory, disk=disk,
                   queue_limit=args.queue_limit,
                   forward_timeout_s=args.timeout, **overrides)
 
@@ -147,7 +146,7 @@ async def _amain(args: argparse.Namespace) -> int:
                                                args, disk)
         role = (f"router over {len(scheduler.ring)} backend(s), "
                 f"memory_tier="
-                f"{'on' if scheduler.tier.memory is not None else 'off'}")
+                f"{'on' if scheduler.memory is not None else 'off'}")
     else:
         scheduler = Scheduler(jobs=args.jobs,
                               queue_limit=args.queue_limit,

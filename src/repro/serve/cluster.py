@@ -1,10 +1,11 @@
 """The cluster front end: consistent-hash routing over tcor-serve shards.
 
 :class:`Router` scales the single-process service horizontally while
-keeping every serving guarantee intact.  It duck-types the scheduler
-interface :class:`~repro.serve.server.SimulationServer` speaks, so the
-exact same front door (NDJSON + HTTP on one port, typed errors,
-``/metrics``) runs in front of a whole cluster:
+keeping every serving guarantee intact.  It shares the scheduler's
+job table (:class:`~repro.serve.jobs.JobTable`: admission, coalescing,
+the finished-job memo, drain), so the exact same front door (NDJSON +
+HTTP on one port, typed errors, ``/metrics``) runs in front of a whole
+cluster:
 
 - **key-affinity sharding** — each request key is owned by one backend
   via the :class:`~repro.serve.ring.HashRing`, so a key's repeats land
@@ -14,11 +15,12 @@ exact same front door (NDJSON + HTTP on one port, typed errors,
 - **cluster-wide coalescing** — identical keys share one router job no
   matter which client or connection submitted them, on top of each
   backend's own in-flight coalescing;
-- **tiered result cache** — a bounded in-memory LRU at the router
-  (:class:`~repro.serve.tiers.MemoryTier`) in front of the shared
-  concurrent-writer-safe :class:`~repro.parallel.store.DiskCache`;
-  hot keys are answered without suspending, warm keys without
-  forwarding, and only cold keys cost a shard round trip;
+- **result tiers** — a key resolves through the router memo, then a
+  bounded in-memory LRU at the router (:class:`MemoryTier`), then the
+  shared concurrent-writer-safe
+  :class:`~repro.parallel.store.DiskCache`, then a shard: hot keys are
+  answered without suspending, warm keys without forwarding, and only
+  cold keys cost a shard round trip;
 - **membership & failure handling** — periodic ``healthz`` probes with
   wire-schema version negotiation; a backend that misses
   ``fail_threshold`` consecutive probes (or errors mid-forward) is
@@ -31,8 +33,9 @@ Forwards are one NDJSON round trip per job on a fresh connection
 (``submit`` + ``wait`` inline), so a slow simulation never blocks an
 unrelated job's response, and a died-mid-job backend surfaces as a
 connection error the retry loop converts into a failover.  Everything
-runs on one event loop; blocking work (the disk tier) goes through an
-executor, mirroring the single-node scheduler's discipline.
+runs on one event loop; the store probe goes through an executor, the
+same hop the single-node scheduler's disk lane takes, and a disk hit is
+promoted into the memory tier back on the loop.
 """
 
 from __future__ import annotations
@@ -43,13 +46,14 @@ import time
 from collections import OrderedDict
 
 from repro.serve import schema
+from repro.serve.jobs import Job, JobTable
 from repro.serve.metrics import ClusterMetrics
 from repro.serve.ring import DEFAULT_REPLICAS, HashRing
-from repro.serve.schema import JobRequest, JobStatus, ServeError
-from repro.serve.tiers import TieredResultCache
+from repro.serve.schema import ServeError
 
 DEFAULT_QUEUE_LIMIT = 1024
 DEFAULT_MEMO_LIMIT = 2048
+DEFAULT_MEMORY_TIER_BYTES = 64 * 1024 * 1024
 DEFAULT_PROBE_INTERVAL_S = 1.0
 DEFAULT_FAIL_THRESHOLD = 2
 DEFAULT_RECONNECT_BACKOFF_S = 0.5
@@ -142,54 +146,63 @@ def parse_backends(spec) -> list[Backend]:
     return backends
 
 
-class RouterJob:
-    """One admitted request's lifecycle at the router."""
+class MemoryTier:
+    """Bounded in-memory LRU of finished-job records, by request key.
 
-    __slots__ = ("key", "request", "state", "lane", "shard", "served_by",
-                 "attempts", "coalesced", "error", "record", "created_s",
-                 "started_s", "finished_s", "done")
-
-    def __init__(self, key: str, request: JobRequest) -> None:
-        self.key = key
-        self.request = request
-        self.state = schema.QUEUED
-        self.lane: str | None = None
-        self.shard: str | None = None
-        self.served_by: str | None = None
-        self.attempts = 0
-        self.coalesced = 0
-        self.error: str | None = None
-        self.record: dict | None = None
-        self.created_s = time.monotonic()
-        self.started_s: float | None = None
-        self.finished_s: float | None = None
-        self.done = asyncio.Event()
-
-    def status(self) -> JobStatus:
-        now = time.monotonic()
-        queued_for = (self.started_s or self.finished_s or now) \
-            - self.created_s
-        running_for = 0.0
-        if self.started_s is not None:
-            running_for = (self.finished_s or now) - self.started_s
-        return JobStatus(job_id=self.key, state=self.state,
-                         priority=self.request.priority, lane=self.lane,
-                         attempts=self.attempts, coalesced=self.coalesced,
-                         error=self.error, queued_for_s=queued_for,
-                         running_for_s=running_for, shard=self.shard)
-
-
-class Router:
-    """Consistent-hash front end over N ``tcor-serve`` backends.
-
-    Duck-types the scheduler surface the server needs (``submit`` /
-    ``status`` / ``wait`` / ``result_payload`` / ``counts`` /
-    ``drain`` / ``close`` / ``metrics`` / ``draining``), so
-    ``SimulationServer(Router(...))`` *is* the cluster front door.
+    The shape follows the classic tile-cache design (an ordered
+    recency list over a key → record map, evicting from the cold end
+    while over budget), sized in *bytes* of serialized record so one
+    pathological result cannot silently displace hundreds of small
+    ones; a record larger than the whole budget is refused outright.
+    ``get`` refreshes recency.  Only the router's event loop touches
+    it.
     """
 
+    def __init__(self, capacity_bytes: int = DEFAULT_MEMORY_TIER_BYTES
+                 ) -> None:
+        self.capacity_bytes = max(0, int(capacity_bytes))
+        self.size_bytes = 0
+        self._records: OrderedDict[str, tuple[dict, int]] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def get(self, key: str) -> dict | None:
+        entry = self._records.get(key)
+        if entry is None:
+            return None
+        self._records.move_to_end(key)
+        return entry[0]
+
+    def put(self, key: str, record: dict) -> None:
+        cost = len(json.dumps(record, sort_keys=True, default=str))
+        if cost > self.capacity_bytes:
+            return
+        stale = self._records.pop(key, None)
+        if stale is not None:
+            self.size_bytes -= stale[1]
+        self._records[key] = (record, cost)
+        self.size_bytes += cost
+        while self.size_bytes > self.capacity_bytes and self._records:
+            _, (_, freed) = self._records.popitem(last=False)
+            self.size_bytes -= freed
+
+
+class Router(JobTable):
+    """Consistent-hash front end over N ``tcor-serve`` backends.
+
+    Shares the scheduler's job table, so ``SimulationServer(Router(...))``
+    *is* the cluster front door.  ``memory`` is the router's
+    :class:`MemoryTier` (``None``: no memory lane) and ``disk`` the
+    shared store, probed before any forward.
+    """
+
+    role = "router"
+    metrics: ClusterMetrics
+
     def __init__(self, backends, *,
-                 tier: TieredResultCache | None = None,
+                 memory: MemoryTier | None = None,
+                 disk=None,
                  metrics: ClusterMetrics | None = None,
                  replicas: int = DEFAULT_REPLICAS,
                  queue_limit: int = DEFAULT_QUEUE_LIMIT,
@@ -205,16 +218,16 @@ class Router:
                  retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
                  no_backend_wait_s: float = DEFAULT_NO_BACKEND_WAIT_S
                  ) -> None:
+        super().__init__(
+            metrics if metrics is not None else ClusterMetrics(),
+            queue_limit=queue_limit, memo_limit=memo_limit, disk=disk)
         parsed = backends if all(isinstance(entry, Backend)
                                  for entry in backends) and backends \
             else parse_backends(backends)
         self._backends: dict[str, Backend] = {
             backend.name: backend for backend in parsed}
-        self.tier = tier if tier is not None else TieredResultCache()
-        self.metrics = metrics if metrics is not None else ClusterMetrics()
+        self.memory = memory
         self.ring = HashRing(replicas=replicas)
-        self.queue_limit = max(1, int(queue_limit))
-        self.memo_limit = max(1, int(memo_limit))
         self.probe_interval_s = probe_interval_s
         self.fail_threshold = max(1, int(fail_threshold))
         self.reconnect_backoff_s = reconnect_backoff_s
@@ -224,150 +237,33 @@ class Router:
         self.max_forward_attempts = max(1, int(max_forward_attempts))
         self.retry_backoff_s = retry_backoff_s
         self.no_backend_wait_s = no_backend_wait_s
-        self.signature = self.tier.signature
-        self.draining = False
-        self._closed = False
-        self._jobs: dict[str, RouterJob] = {}
-        self._finished: OrderedDict[str, None] = OrderedDict()
-        self._active = 0
-        self._inflight_jobs = 0
-        self._routes: dict[asyncio.Task, str] = {}
-        self._loop: asyncio.AbstractEventLoop | None = None
         self._membership: asyncio.Event | None = None
-        self._prober: asyncio.Task | None = None
         for backend in self._backends.values():
             self.ring.add(backend.name)
             self.metrics.register_shard(backend.name)
         self.metrics.gauge("backends_total", len(self._backends))
         self.metrics.gauge("backends_up", len(self._backends))
 
-    # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
-        self._loop = asyncio.get_running_loop()
+        await super().start()
         self._membership = asyncio.Event()
-        self._prober = asyncio.create_task(self._probe_loop())
+        self._loops = [asyncio.create_task(self._probe_loop())]
 
-    async def drain(self, timeout_s: float | None = None) -> int:
-        """Stop admitting, let forwarded and queued jobs finish."""
-        self.draining = True
-        self.metrics.decision("drain")
-        live = [job for job in self._jobs.values()
-                if job.state not in schema.TERMINAL_STATES]
-        if live:
-            waits = asyncio.gather(*(job.done.wait() for job in live))
-            try:
-                await asyncio.wait_for(waits, timeout_s)
-            except asyncio.TimeoutError:
-                pass  # whatever is left is close()'s to cancel
-        drained = sum(1 for job in live
-                      if job.state in schema.TERMINAL_STATES)
-        self.metrics.count("drained", drained)
-        return len(live)
-
-    async def close(self) -> None:
-        """Hard stop: cancel the prober and every in-flight forward,
-        fail whatever is still live."""
-        self.draining = True
-        self._closed = True
-        pending = [task for task in ([self._prober] + list(self._routes))
-                   if task is not None]
-        for task in pending:
-            task.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        for job in list(self._jobs.values()):
-            if job.state not in schema.TERMINAL_STATES:
-                self._finish(job, schema.CANCELLED, error="router closed")
-
-    # -- submission ----------------------------------------------------
-    def submit(self, request: JobRequest) -> tuple[RouterJob, bool]:
-        """Admit one request; returns ``(job, reused)``.
-
-        Coalesces onto an identical live job, answers from the memo of
-        a finished one or the memory tier without suspending, and
-        otherwise spawns the routing task for the cold path.
-        """
-        key = schema.request_key(request, self.signature)
-        self.metrics.count("submitted")
-        if request.sequence is not None:
-            self.metrics.count("sequence_frames")
-        self.metrics.decision("submit", key=key)
-        existing = self._jobs.get(key)
-        if existing is not None:
-            if existing.state in (schema.QUEUED, schema.RUNNING):
-                existing.coalesced += 1
-                self.metrics.count("coalesced")
-                self.metrics.decision("coalesce", key=key,
-                                      shard=existing.shard)
-                return existing, True
-            if existing.state == schema.DONE:
-                self.metrics.count("memo_hits")
-                self.metrics.decision("memo_hit", key=key, lane="memo")
-                return existing, True
-            self._finished.pop(key, None)
-        if self.draining:
-            self.metrics.count("rejected.draining")
-            self.metrics.decision("reject", key=key)
-            raise ServeError.draining()
-        if self._active >= self.queue_limit:
-            self.metrics.count("rejected.queue_full")
-            self.metrics.decision("reject", key=key)
-            raise ServeError.queue_full(self.queue_limit)
-        job = RouterJob(key, request)
-        self._jobs[key] = job
-        self._active += 1
-        self.metrics.count("accepted")
-        self.metrics.gauge("active", self._active)
-        record = self.tier.lookup_memory(key)
+    def _admit(self, job: Job) -> None:
+        """Answer from the memory tier without suspending, or spawn the
+        routing task for the cold path."""
+        self._pulse()
+        record = self.memory.get(job.key) if self.memory is not None \
+            else None
         if record is not None:
             self.metrics.count("tier.memory_hits")
-            self.metrics.decision("tier_hit", key=key, lane="memory")
+            self.metrics.decision("tier_hit", key=job.key, lane="memory")
             self._finish(job, schema.DONE, record=record, lane="memory")
-            return job, False
-        assert self._loop is not None, "router not started"
-        task = self._loop.create_task(self._route_job(job))
-        self._routes[task] = key
-        task.add_done_callback(
-            lambda done: self._routes.pop(done, None))
-        return job, False
-
-    # -- queries (server surface) --------------------------------------
-    def status(self, job_id: str) -> RouterJob:
-        job = self._jobs.get(job_id)
-        if job is None:
-            raise ServeError.not_found(job_id)
-        return job
-
-    async def wait(self, job_id: str,
-                   timeout_s: float | None = None) -> RouterJob:
-        job = self.status(job_id)
-        try:
-            await asyncio.wait_for(job.done.wait(), timeout_s)
-        except asyncio.TimeoutError:
-            raise ServeError.wait_timeout(job_id, timeout_s or 0.0) \
-                from None
-        return job
-
-    def result_payload(self, job: RouterJob) -> dict:
-        elapsed = ((job.finished_s or time.monotonic()) - job.created_s)
-        payload = {"id": job.key, "state": job.state, "lane": job.lane,
-                   "attempts": job.attempts, "elapsed_s": elapsed,
-                   "result": None, "metrics": {},
-                   "invariant_failures": [], "error": job.error,
-                   "shard": job.shard, "served_by": job.served_by}
-        if job.record is not None:
-            payload["result"] = job.record.get("result")
-            payload["metrics"] = job.record.get("metrics", {})
-            payload["invariant_failures"] = job.record.get(
-                "invariant_failures", [])
-        return payload
+            return
+        self._spawn(self._route_job(job))
 
     def counts(self) -> dict:
-        states: dict[str, int] = {}
-        for job in self._jobs.values():
-            states[job.state] = states.get(job.state, 0) + 1
-        return {"role": "router", "active": self._active,
-                "inflight": self._inflight_jobs, "states": states,
+        return {**super().counts(), "role": self.role,
                 "backends": {name: backend.describe() for name, backend
                              in sorted(self._backends.items())},
                 "backends_up": sum(1 for backend
@@ -375,65 +271,31 @@ class Router:
                                    if backend.up)}
 
     # -- routing internals ---------------------------------------------
-    def _finish(self, job: RouterJob, state: str, *,
-                record: dict | None = None, lane: str | None = None,
-                error: str | None = None) -> None:
-        job.state = state
-        job.record = record
-        if lane is not None:
-            job.lane = lane
-        job.error = error
-        job.finished_s = time.monotonic()
-        self._active -= 1
-        if state == schema.DONE:
-            self.metrics.count("completed")
-            self.metrics.observe_latency(job.finished_s - job.created_s)
-            self.metrics.decision("complete", key=job.key,
-                                  shard=job.shard, lane=job.lane)
-        else:
-            self.metrics.count("failed")
-            self.metrics.decision("fail", key=job.key, shard=job.shard,
-                                  lane=job.lane)
-        self.metrics.gauge("active", self._active)
-        job.done.set()
-        self._finished[job.key] = None
-        while len(self._finished) > self.memo_limit:
-            stale, _ = self._finished.popitem(last=False)
-            self._jobs.pop(stale, None)
-
-    def _track_inflight(self, delta: int) -> None:
-        """Adjust the forwarded-jobs counter and its gauge in one
-        synchronous step — atomic between suspension points, so the
-        count can never be observed mid-update (SIM202 discipline)."""
-        self._inflight_jobs += delta
-        self.metrics.gauge("inflight", self._inflight_jobs)
-
-    async def _route_job(self, job: RouterJob) -> None:
+    async def _route_job(self, job: Job) -> None:
         try:
             await self._route_job_inner(job)
         except asyncio.CancelledError:
             if job.state not in schema.TERMINAL_STATES:
                 self._finish(job, schema.CANCELLED,
-                             error="router closed")
+                             error=f"{self.role} closed")
             raise
         except Exception as exc:  # defensive: a routing bug must not
             if job.state not in schema.TERMINAL_STATES:  # hang waiters
                 self._finish(job, schema.FAILED,
                              error=f"{type(exc).__name__}: {exc}")
 
-    async def _route_job_inner(self, job: RouterJob) -> None:
-        assert self._loop is not None
-        record = None
-        if self.tier.disk_tier is not None:
-            record = await self._loop.run_in_executor(
-                None, self.tier.lookup_disk, job.key, job.request)
-        if job.state in schema.TERMINAL_STATES:
-            return  # close() raced the probe
-        if record is not None:
+    async def _route_job_inner(self, job: Job) -> None:
+        hits, misses = await self._probe_store([job])
+        for _, record in hits:
+            # Promoted here, on the loop, where every other reader and
+            # writer of the memory tier runs.
+            if self.memory is not None:
+                self.memory.put(job.key, record)
             self.metrics.count("tier.disk_hits")
             self.metrics.decision("tier_hit", key=job.key, lane="disk")
             self._finish(job, schema.DONE, record=record, lane="disk")
-            return
+        if not misses:
+            return  # a disk hit, or close() raced the probe
         self.metrics.count("tier.misses")
         avoid: set[str] = set()
         while True:
@@ -484,7 +346,7 @@ class Router:
                                    f"{error.get('message', '')}")
                 return
 
-    def _route_key(self, job: RouterJob) -> str:
+    def _route_key(self, job: Job) -> str:
         """What the hash ring places for this job.
 
         Frames of one animation stream carry a ``sequence`` hint; they
@@ -496,7 +358,7 @@ class Router:
             return f"seq:{request.alias}:{request.sequence}"
         return job.key
 
-    async def _acquire_backend(self, job: RouterJob,
+    async def _acquire_backend(self, job: Job,
                                avoid: set[str]) -> Backend | None:
         """The ring owner for this job's routing key among healthy
         backends, waiting briefly through total outages (a restarting
@@ -526,7 +388,7 @@ class Router:
             except asyncio.TimeoutError:
                 pass  # re-evaluate membership on the tick
 
-    async def _retry_backoff(self, job: RouterJob) -> bool:
+    async def _retry_backoff(self, job: Job) -> bool:
         """Whether the job still has attempt budget; sleeps the
         exponential backoff when it does."""
         if job.attempts >= self.max_forward_attempts or self._closed:
@@ -538,7 +400,7 @@ class Router:
             self.retry_backoff_s * (2 ** max(0, job.attempts - 1)))
         return job.state == schema.QUEUED  # close() may have raced
 
-    def _complete_from_response(self, job: RouterJob, backend: Backend,
+    def _complete_from_response(self, job: Job, backend: Backend,
                                 response: dict) -> bool:
         """Digest one backend reply; ``False`` means retry-worthy."""
         error = response.get("error")
@@ -571,13 +433,16 @@ class Router:
                   "metrics": payload.get("metrics", {}),
                   "invariant_failures": payload.get(
                       "invariant_failures", [])}
-        self.tier.admit(job.key, record)
+        # Memory only: the backends write through to the shared store,
+        # so the router never doubles the file traffic.
+        if self.memory is not None:
+            self.memory.put(job.key, record)
         self._finish(job, schema.DONE, record=record,
                      lane=payload.get("lane") or "pool")
         return True
 
     # -- backend wire --------------------------------------------------
-    async def _forward(self, backend: Backend, job: RouterJob) -> dict:
+    async def _forward(self, backend: Backend, job: Job) -> dict:
         """One submit-and-wait round trip to a shard."""
         timeout = job.request.timeout_s or self.forward_timeout_s
         payload = {"op": "submit", "v": schema.SCHEMA_VERSION,

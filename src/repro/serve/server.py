@@ -1,8 +1,9 @@
 """The asyncio front door: one port, two protocols.
 
-:class:`SimulationServer` owns a :class:`~repro.serve.scheduler.
-Scheduler` and listens with ``asyncio.start_server`` (stdlib only —
-no web framework).  The protocol is sniffed from the first request
+:class:`SimulationServer` owns a job table — a
+:class:`~repro.serve.scheduler.Scheduler` or a cluster
+:class:`~repro.serve.cluster.Router` — and listens with
+``asyncio.start_server`` (stdlib only — no web framework).  The protocol is sniffed from the first request
 line:
 
 - ``GET``/``POST``/``HEAD`` … → a thin HTTP/1.1 handler, enough for
@@ -25,7 +26,7 @@ import asyncio
 import json
 
 from repro.serve import schema
-from repro.serve.scheduler import Scheduler
+from repro.serve.jobs import JobTable
 from repro.serve.schema import ServeError
 
 MAX_LINE_BYTES = 1 << 20
@@ -38,9 +39,10 @@ def _json_line(payload: dict) -> bytes:
 
 
 class SimulationServer:
-    """Bind a scheduler to a TCP port; speak NDJSON and HTTP/1.1."""
+    """Bind a scheduler (or a router) to a TCP port; speak NDJSON and
+    HTTP/1.1."""
 
-    def __init__(self, scheduler: Scheduler, *, host: str = "127.0.0.1",
+    def __init__(self, scheduler: JobTable, *, host: str = "127.0.0.1",
                  port: int = 0) -> None:
         self.scheduler = scheduler
         self.host = host

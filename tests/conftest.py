@@ -9,9 +9,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro import envvars
 from repro.config import ScreenConfig
 from repro.geometry.primitives import Primitive, Vertex
 from repro.workloads.suite import BENCHMARKS, build_workload
+
+
+@pytest.fixture(autouse=True)
+def private_result_store(tmp_path, monkeypatch):
+    """Point the default result store (and the subprocesses a test
+    starts) at the test's own directory, so no test reads records an
+    earlier run left in the checkout's ``.repro-cache/`` or leaves
+    records there."""
+    monkeypatch.setenv(envvars.CACHE_DIR, str(tmp_path / "repro-cache"))
 
 
 @pytest.fixture(scope="session")

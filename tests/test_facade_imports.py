@@ -50,7 +50,7 @@ class TestServeFacade:
 
         for name in serve.__all__:
             assert hasattr(serve, name), name
-        assert {"Router", "HashRing", "TieredResultCache", "connect",
+        assert {"Router", "HashRing", "MemoryTier", "connect",
                 "ServeHandle", "SCHEMA_VERSION"} <= set(serve.__all__)
 
     def test_handle_is_a_simulation_provider(self):

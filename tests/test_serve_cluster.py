@@ -31,9 +31,8 @@ from repro.api import SimulationConfig, simulate
 from repro.config import KIB
 from repro.parallel import DiskCache, result_to_dict
 from repro.serve import InProcessServer, JobRequest, schema
-from repro.serve.cluster import Router, parse_backends
+from repro.serve.cluster import MemoryTier, Router, parse_backends
 from repro.serve.schema import ServeError
-from repro.serve.tiers import MemoryTier, TieredResultCache
 from repro.tcor.system import SystemResult
 from repro.workloads.suite import BENCHMARKS, build_workload
 
@@ -51,8 +50,7 @@ def canonical(result) -> str:
 
 
 def make_router(backends, **kwargs):
-    kwargs.setdefault("tier",
-                      TieredResultCache(memory=MemoryTier(1 << 20)))
+    kwargs.setdefault("memory", MemoryTier(1 << 20))
     kwargs.setdefault("probe_interval_s", 0.2)
     kwargs.setdefault("fail_threshold", 1)
     kwargs.setdefault("connect_timeout_s", 5.0)
@@ -120,7 +118,7 @@ class TestClusterServing:
         request = JobRequest(alias="GTr", scale=SCALE,
                              config=SimulationConfig(
                                  tile_cache_bytes=32 * KIB))
-        key = schema.request_key(request, router.tier.signature)
+        key = schema.request_key(request, router.signature)
         predicted = router.ring.node_for(key)
         with front.client() as client:
             served = client.run(request, timeout_s=300)
@@ -225,8 +223,7 @@ class TestDiskTierLane:
             dead = probe.getsockname()[1]
         router = make_router(
             [f"127.0.0.1:{dead}"],
-            tier=TieredResultCache(memory=MemoryTier(1 << 20),
-                                   disk=disk),
+            disk=disk,
             no_backend_wait_s=0.5)
         with InProcessServer(scheduler=router) as front:
             with front.client() as client:
@@ -357,8 +354,7 @@ class TestFailoverMidSoak:
             # Kill the shard that owns the first request's key, so at
             # least one in-flight forward demonstrably drains.
             victim = router.ring.node_for(
-                schema.request_key(requests[0],
-                                   router.tier.signature))
+                schema.request_key(requests[0], router.signature))
             with InProcessServer(scheduler=router) as front:
                 with front.client(timeout_s=300.0) as client:
                     ids = [client.submit(request)["id"]

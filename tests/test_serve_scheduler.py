@@ -455,6 +455,37 @@ class TestDiskLane:
 
         run_with_scheduler(body, disk=disk, batch_window_s=0.1)
 
+    def test_drain_waits_for_the_write_through(self, monkeypatch):
+        """The SIGTERM path: drain() then close() must leave the record
+        of a job already answered ``done`` in the store.  Here the
+        write-through waits in the executor's queue behind a blocker
+        released after 0.3 s; a drain that returned as soon as the job
+        was done let close() cancel it there."""
+        executor = ThreadPoolExecutor(max_workers=1)
+        unblock = threading.Event()
+
+        def worker(alias, scale, entries, anim_payload=None, store=None):
+            executor.submit(unblock.wait, 5)
+            return good_records(alias, scale, entries)
+        monkeypatch.setattr(scheduler_module, "simulate_request_batch",
+                            worker)
+        disk = FakeDisk(warm=None)
+
+        async def body(sched):
+            loop = asyncio.get_running_loop()
+            loop.set_default_executor(executor)
+            loop.call_later(0.3, unblock.set)
+            job, _ = sched.submit(request())
+            assert await sched.drain(timeout_s=5) == 1
+            await sched.close()
+            assert job.state == DONE
+            assert disk.put_calls == [("tcor", "GTr", make_result())]
+
+        try:
+            run_with_scheduler(body, disk=disk)
+        finally:
+            unblock.set()
+
     def test_scheduler_key_carries_the_disk_signature(self):
         with_disk = Scheduler(disk=FakeDisk())
         without = Scheduler()

@@ -1,26 +1,37 @@
-"""The router's tiered result cache (memory LRU over the disk store)."""
+"""The router's result tiers: its memory tier over the shared store.
+
+A key resolves through the router memo, the :class:`MemoryTier`, the
+shared :class:`DiskCache` and finally a shard; the shard here is a
+:class:`ScriptedBackend`.
+"""
 
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
 from repro.api import SimulationConfig
-from repro.parallel import DiskCache, ResultTier
+from repro.parallel import DiskCache, result_to_dict
+from repro.serve.cluster import MemoryTier
 from repro.serve.schema import JobRequest
-from repro.serve.tiers import (
-    DiskRecordTier,
-    MemoryTier,
-    TieredResultCache,
-    record_for_result,
-)
 from repro.tcor.system import SystemResult
+from tests.serve_fakes import (
+    RESULT,
+    ScriptedBackend,
+    finished,
+    make_router,
+    run_started,
+)
+
+STORED = SystemResult(label="stored-run", alias="GTr")
 
 
 def fake_record(tag: str, pad: int = 0) -> dict:
-    record = record_for_result(
-        SystemResult(label=f"run-{tag}", alias="GTr"))
+    record = {"result": result_to_dict(
+        SystemResult(label=f"run-{tag}", alias="GTr")),
+        "metrics": {}, "invariant_failures": []}
     if pad:
         record["metrics"] = {"pad": "x" * pad}
     return record
@@ -37,7 +48,6 @@ class TestMemoryTier:
         assert tier.get("k") is None
         tier.put("k", record)
         assert tier.get("k") is record
-        assert (tier.hits, tier.misses) == (1, 1)
         assert len(tier) == 1 and tier.size_bytes == cost_of(record)
 
     def test_byte_budget_evicts_cold_end(self):
@@ -48,7 +58,7 @@ class TestMemoryTier:
         tier.put("d", fake_record("d"))  # over budget: "a" goes
         assert tier.get("a") is None
         assert tier.get("d") is not None
-        assert tier.evictions == 1
+        assert len(tier) == 3
         assert tier.size_bytes <= tier.capacity_bytes
 
     def test_get_refreshes_recency(self):
@@ -73,84 +83,148 @@ class TestMemoryTier:
         assert len(tier) == 1
         assert tier.size_bytes == cost_of(fake_record("a", pad=100))
 
-    def test_resize_shrinks_to_fit(self):
-        tier = MemoryTier(1 << 20)
-        for tag in ("a", "b", "c", "d"):
-            tier.put(tag, fake_record(tag))
-        tier.resize(cost_of(fake_record("a")) + 1)
-        assert len(tier) == 1
-        assert tier.get("d") is not None  # hottest survivor
-
-    def test_is_a_result_tier(self):
-        assert isinstance(MemoryTier(), ResultTier)
-        assert MemoryTier().stats_line().startswith("memory tier:")
-
 
 @pytest.fixture
 def disk(tmp_path):
     return DiskCache(tmp_path, signature="test-sig")
 
 
-class TestDiskRecordTier:
-    def test_round_trip_through_the_store(self, disk):
-        tier = DiskRecordTier(disk)
-        request = JobRequest(alias="GTr", scale=0.05)
-        record = fake_record("a")
-        record["metrics"] = {}  # disk records carry no metrics
-        assert tier.get("key", request) is None
-        tier.put("key", record, request)
-        loaded = tier.get("key", request)
-        assert loaded is not None
-        assert loaded["result"] == record["result"]
-        assert (tier.hits, tier.misses) == (1, 1)
+@pytest.fixture
+def backend():
+    backend = ScriptedBackend()
+    yield backend
+    backend.release.set()
 
-    def test_non_standard_requests_round_trip_through_the_store(self, disk):
-        tier = DiskRecordTier(disk)
+
+class TestDiskRecordTier:
+    """The shared store as the router's disk tier."""
+
+    def test_round_trip_through_the_store(self, disk, backend,
+                                          monkeypatch):
+        request = JobRequest(alias="GTr", scale=0.05)
+        disk.put_result(request.identity, request.config, STORED)
+
+        async def body(router):
+            job = await finished(router.submit(request)[0])
+            assert job.lane == "disk"
+            payload = router.result_payload(job)
+            assert payload["result"] == result_to_dict(STORED)
+            assert payload["metrics"] == {}  # records carry no snapshot
+            assert router.metrics.value("tier.disk_hits") == 1
+
+        run_started(make_router(backend, monkeypatch, disk=disk), body)
+        assert backend.computed == 0
+
+    def test_non_standard_requests_round_trip_through_the_store(
+            self, disk, backend, monkeypatch):
         plain = JobRequest(alias="GTr", scale=0.05)
         custom = JobRequest(alias="GTr", scale=0.05,
                             config=SimulationConfig(
                                 include_background=False))
-        tier.put("key", fake_record("a"), custom)
-        assert tier.get("key", custom)["result"] == \
-            fake_record("a")["result"]
-        assert tier.get("key", plain) is None
-        assert (tier.hits, tier.misses) == (1, 1)
+        disk.put_result(custom.identity, custom.config, STORED)
 
-    def test_missing_context_is_a_miss(self, disk):
-        tier = DiskRecordTier(disk)
-        assert tier.get("key", None) is None
+        async def body(router):
+            assert (await finished(router.submit(custom)[0])).lane \
+                == "disk"
+            assert (await finished(router.submit(plain)[0])).lane \
+                == "pool"
+            assert router.metrics.value("tier.disk_hits") == 1
+            assert router.metrics.value("tier.misses") == 1
+
+        run_started(make_router(backend, monkeypatch, disk=disk), body)
 
 
 class TestTieredResultCache:
-    def test_signature_comes_from_the_disk_store(self, disk):
-        assert TieredResultCache().signature == ""
-        assert TieredResultCache(disk=disk).signature == "test-sig"
+    """Router memo, then memory tier, then store, then a shard."""
 
-    def test_disk_hit_promotes_into_memory(self, disk):
-        tiered = TieredResultCache(memory=MemoryTier(1 << 20), disk=disk)
+    def test_signature_comes_from_the_disk_store(self, disk, backend,
+                                                 monkeypatch):
+        assert make_router(backend, monkeypatch).signature == ""
+        assert make_router(backend, monkeypatch,
+                           disk=disk).signature == "test-sig"
+
+    def test_disk_hit_promotes_into_memory(self, disk, backend,
+                                           monkeypatch):
+        warm = JobRequest(alias="GTr", scale=0.05)
+        other = JobRequest(alias="GTr", scale=0.05,
+                           config=SimulationConfig(kind="baseline"))
+        disk.put_result(warm.identity, warm.config, STORED)
+
+        async def body(router):
+            first = await finished(router.submit(warm)[0])
+            assert first.lane == "disk"
+            await finished(router.submit(other)[0])  # evicts the memo
+            repeat, reused = router.submit(warm)
+            assert not reused and repeat.lane == "memory"
+            assert repeat.record == first.record
+            assert router.metrics.value("tier.memory_hits") == 1
+            assert router.metrics.value("tier.disk_hits") == 1
+
+        run_started(make_router(backend, monkeypatch, disk=disk,
+                                memory=MemoryTier(1 << 20),
+                                memo_limit=1), body)
+
+    def test_admit_is_memory_only(self, disk, backend, monkeypatch):
+        """Disk population stays the backends' write-through; a
+        completion at the router must never double the file
+        traffic."""
         request = JobRequest(alias="GTr", scale=0.05)
-        record = fake_record("a")
-        record["metrics"] = {}
-        tiered.disk_tier.put("key", record, request)
-        assert tiered.lookup_memory("key") is None
-        hit = tiered.lookup_disk("key", request)
-        assert hit is not None
-        assert tiered.lookup_memory("key") == hit  # promoted
-        snapshot = tiered.snapshot()
-        assert snapshot["disk.hits"] == 1
-        assert snapshot["memory.entries"] == 1
+        memory = MemoryTier(1 << 20)
 
-    def test_admit_is_memory_only(self, disk):
-        """Disk population stays the backends' write-through; the
-        router's admit must never double the file traffic."""
-        tiered = TieredResultCache(memory=MemoryTier(1 << 20), disk=disk)
+        async def body(router):
+            job = await finished(router.submit(request)[0])
+            assert job.lane == "pool"
+            assert memory.get(job.key)["result"] == result_to_dict(RESULT)
+
+        run_started(make_router(backend, monkeypatch, disk=disk,
+                                memory=memory), body)
+        assert disk.get_result(request.identity, request.config) is None
+        assert disk.stores == 0
+
+    def test_memoryless_cache_never_admits(self, backend, monkeypatch):
+        first = JobRequest(alias="GTr", scale=0.05)
+        other = JobRequest(alias="GTr", scale=0.05,
+                           config=SimulationConfig(kind="baseline"))
+
+        async def body(router):
+            await finished(router.submit(first)[0])
+            await finished(router.submit(other)[0])  # evicts the memo
+            repeat = await finished(router.submit(first)[0])
+            assert repeat.lane == "pool"
+            assert router.metrics.value("tier.memory_hits") == 0
+
+        run_started(make_router(backend, monkeypatch, memo_limit=1), body)
+        assert backend.computed == 3
+
+    def test_memory_tier_is_used_only_on_the_loop(self, disk, backend,
+                                                  monkeypatch):
+        """Promotion of a disk hit must happen on the event loop, where
+        submissions read the tier: an executor thread moving entries
+        while the loop reads them broke the LRU's bookkeeping."""
+        class RecordingTier(MemoryTier):
+            def __init__(self, capacity_bytes):
+                super().__init__(capacity_bytes)
+                self.threads = []
+
+            def get(self, key):
+                self.threads.append(threading.get_ident())
+                return super().get(key)
+
+            def put(self, key, record):
+                self.threads.append(threading.get_ident())
+                super().put(key, record)
+
+        memory = RecordingTier(1 << 20)
         request = JobRequest(alias="GTr", scale=0.05)
-        tiered.admit("key", fake_record("a"))
-        assert tiered.lookup_memory("key") is not None
-        assert tiered.disk_tier.get("key", request) is None
+        disk.put_result(request.identity, request.config, STORED)
 
-    def test_memoryless_cache_never_admits(self, disk):
-        tiered = TieredResultCache(disk=disk)
-        tiered.admit("key", fake_record("a"))
-        assert tiered.lookup_memory("key") is None
-        assert "memory.hits" not in tiered.snapshot()
+        async def body(router):
+            job = await finished(router.submit(request)[0])
+            assert job.lane == "disk"
+            return threading.get_ident()
+
+        loop_thread = run_started(
+            make_router(backend, monkeypatch, disk=disk, memory=memory),
+            body)
+        assert len(memory.threads) == 2  # the submit's get, the promotion
+        assert set(memory.threads) == {loop_thread}
