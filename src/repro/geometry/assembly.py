@@ -11,11 +11,6 @@ It also measures index-stream locality (the vertex-cache hit ratio of a
 FIFO post-transform cache), which is where the background traffic
 model's vertex-fetch constants come from.
 """
-# Assembly counters are functional-model roll-ups (triangles culled,
-# cache hit ratios) summarized once per frame; the trace stream
-# deliberately observes only cache/memory/tile events, so these
-# mutations have no hooked caller chain by design.
-# lint: disable-file=SIM102
 
 from __future__ import annotations
 

@@ -2,9 +2,10 @@
 
 An AST-based lint pass with rules specific to a cache-simulator oracle:
 determinism (no module-global RNG), stats conservation (every counter is
-incremented and surfaced), and configuration legality (cache geometries
-the indexing hardware can actually build).  See ``repro.lint.rules`` for
-the rule catalogue and ``python -m repro.lint --list-rules``.
+incremented and surfaced), sentinels imported rather than re-declared,
+no swallowed exceptions and no private reach-through; ``--semantic``
+adds the whole-program event-loop and env-var rules.  See
+``python -m repro.lint --list-rules`` for the catalogue.
 """
 
 from repro.lint.core import (

@@ -3,9 +3,9 @@
 The two-tier semantic cache exists to make ``repro-lint --semantic``
 cheap enough for CI and pre-commit: fact extraction dominates the cold
 pass, and a byte-identical rerun should pay only for JSON loading plus
-the program-scope rules (SIM104/SIM105, SIM3xx), which are recomputed
-every pass by design.  This module measures that contract over the
-full default tree with all four families enabled and emits a small
+the program-scope rule (SIM304), which is recomputed every pass by
+design.  This module measures that contract over the full default
+tree with every family enabled and emits a small
 JSON document (``BENCH_PR9.json`` in CI) so regressions in either the
 cold cost or the warm hit-rate show up as artifact diffs::
 

@@ -4,15 +4,10 @@ Exit status: 0 when clean, 1 when violations were found (unless
 ``--no-fail-on-violation``), 2 on usage errors.
 
 ``--semantic`` layers the whole-program passes (call graph, CFG
-dataflow) on top of the per-file rules: the SIM1xx semantic family,
-the SIM2xx async-concurrency family (blocking calls on the event loop,
-atomicity across awaits, task lifecycle, lock discipline, obs-hook
-boundary) and the SIM3xx contract family (live↔replay counter parity,
-metric-name, wire-schema, env-var and version discipline).
-``--baseline PATH`` compares against a recorded baseline and fails
-only on *new* findings; ``--update-baseline`` records the current
-findings as accepted.  ``--explain SIM104`` prints one rule's full
-documentation.
+dataflow) on top of the per-file rules: the SIM2xx async-concurrency
+family (blocking calls on the event loop, atomicity across awaits) and
+the SIM3xx contract family (env-var discipline).  ``--explain SIM201``
+prints one rule's full documentation.
 """
 
 from __future__ import annotations
@@ -20,21 +15,19 @@ from __future__ import annotations
 import argparse
 
 from repro.lint.core import all_rules
-from repro.lint.engine import (apply_baseline, lint_paths, load_baseline,
-                               write_baseline)
+from repro.lint.engine import lint_paths
 from repro.lint.reporters import (REPORTERS, render_explain,
                                   render_rule_list)
 
 DEFAULT_PATHS = ["src", "benchmarks", "examples"]
-DEFAULT_BASELINE = ".lint-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=("Simulator-aware static analysis: determinism, "
-                     "stats-conservation and config-legality rules for "
-                     "the TCOR reproduction."),
+                     "stats-conservation and event-loop rules for the "
+                     "TCOR reproduction."),
     )
     parser.add_argument("paths", nargs="*", default=None,
                         help=f"files or directories (default: "
@@ -46,9 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ignore", metavar="CODES",
                         help="comma-separated rule codes to skip")
     parser.add_argument("--semantic", action="store_true",
-                        help="also run the whole-program SIM1xx, SIM2xx "
-                             "(async concurrency) and SIM3xx (contract "
-                             "analysis) rules")
+                        help="also run the whole-program SIM2xx (async "
+                             "concurrency) and SIM3xx (contract analysis) "
+                             "rules")
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore and do not write the lint caches")
     parser.add_argument("--cache-file", metavar="PATH",
@@ -56,14 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--semantic-cache-file", metavar="PATH",
                         help="semantic fact/finding cache location "
                              "(default: ./.lint-semantic-cache.json)")
-    parser.add_argument("--baseline", metavar="PATH", nargs="?",
-                        const=DEFAULT_BASELINE, default=None,
-                        help="fail only on findings absent from this "
-                             f"baseline file (default: {DEFAULT_BASELINE})")
-    parser.add_argument("--update-baseline", metavar="PATH", nargs="?",
-                        const=DEFAULT_BASELINE, default=None,
-                        help="record current findings as the accepted "
-                             "baseline and exit 0")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     parser.add_argument("--explain", metavar="CODE",
@@ -118,25 +103,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     except FileNotFoundError as error:
         parser.error(str(error))
-
-    if args.update_baseline is not None:
-        count = write_baseline(result, args.update_baseline)
-        noun = "finding" if count == 1 else "findings"
-        print(f"baseline: recorded {count} {noun} in "
-              f"{args.update_baseline}")
-        return 0
-
-    if args.baseline is not None:
-        baseline = load_baseline(args.baseline)
-        new, matched = apply_baseline(result, baseline)
-        result.violations = new
-        print(REPORTERS[args.format](result))
-        if matched:
-            print(f"baseline: suppressed {matched} known "
-                  f"finding{'s' if matched != 1 else ''}")
-        if new and args.fail_on_violation:
-            return 1
-        return 0
 
     print(REPORTERS[args.format](result))
     if result.violations and args.fail_on_violation:

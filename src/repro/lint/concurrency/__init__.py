@@ -1,23 +1,18 @@
 """Async concurrency analysis (the SIM2xx rule family).
 
-The PR 4 semantic engine models *space* (call graph, per-function CFG,
+The semantic engine models *space* (call graph, per-function CFG,
 dataflow origins); this package adds *time on the event loop*:
 
 - :mod:`repro.lint.concurrency.suspension` — augments the CFG with
   suspension points (``await`` / ``async for`` / ``async with``) and
   answers path queries across them;
 - :mod:`repro.lint.concurrency.facts` — the JSON-serializable async
-  summary extracted per function (suspensions, atomicity gaps, lock
-  spans, task spawns, executor dispatches), layered into the same
-  two-tier fact cache as the SIM1xx facts;
-- rule modules — :mod:`~repro.lint.concurrency.blocking` (SIM201),
-  :mod:`~repro.lint.concurrency.atomicity` (SIM202),
-  :mod:`~repro.lint.concurrency.tasks` (SIM203/SIM204),
-  :mod:`~repro.lint.concurrency.locks` (SIM205) and
-  :mod:`~repro.lint.concurrency.obs_boundary` (SIM206), registered in
-  the shared semantic-rule registry so SARIF, baselines, suppression
-  comments and ``repro-lint --semantic`` treat both families as one
-  analysis stack.
+  summary extracted per coroutine (atomicity gaps), layered into the
+  same two-tier fact cache as the other semantic facts;
+- rule modules — :mod:`~repro.lint.concurrency.blocking` (SIM201) and
+  :mod:`~repro.lint.concurrency.atomicity` (SIM202), registered in the
+  shared semantic-rule registry so SARIF, suppression comments and
+  ``repro-lint --semantic`` treat every family as one analysis stack.
 """
 
 from repro.lint.concurrency.suspension import (SuspensionCFG,

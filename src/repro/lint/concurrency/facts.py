@@ -1,31 +1,20 @@
-"""Async fact extraction: the concurrency summary of one function.
+"""Async fact extraction: the atomicity summary of one coroutine.
 
 Layered into :func:`repro.lint.semantic.model.extract_module_facts` so
-the SIM2xx rules ride the same two-tier cache as SIM1xx: everything
-returned here is JSON-serializable and derived from one file alone.
+SIM202 rides the same two-tier cache as the other semantic rules:
+everything returned here is JSON-serializable and derived from one
+file alone.
 
-Per *coroutine* (``async def``), the summary records:
+Per *coroutine* (``async def``) the summary records ``gaps`` —
+read→write pairs on ``self.<attr>`` state where some CFG path between
+the read and the write crosses a suspension point (see
+:mod:`repro.lint.concurrency.suspension`) and no ``async with <lock>``
+span covers both ends.  SIM202 filters them by the attribute's
+inferred type.
 
-- ``suspensions`` — every point the frame can yield to the event loop
-  (see :mod:`repro.lint.concurrency.suspension`);
-- ``gaps`` — read→write pairs on ``self.<attr>`` state where some CFG
-  path between the read and the write crosses a suspension point and
-  no ``async with <lock>`` span covers both ends: the raw material of
-  SIM202 (the rule filters by the attribute's inferred type);
-- ``lock_spans`` — ``with``/``async with`` regions over lock-like
-  context managers, for SIM202's exoneration and SIM205's discipline
-  checks.
-
-Per function of *any* color:
-
-- ``task_spawns`` — ``create_task``/``ensure_future`` sites with where
-  the task object went (awaited, stored, dropped …) for SIM203;
-- ``dispatches`` — ``run_in_executor``/``to_thread`` sites with the
-  executor argument's dataflow origin and the dispatched callable, for
-  SIM205/SIM206.
-
-Class-level: ``lock_attrs_of_class`` / ``lock_globals`` resolve lock
-constructor calls through the import aliases so ``threading.Lock`` and
+Lock spans exonerate a gap only when the lock is an asyncio one:
+``lock_attrs_of_class`` / ``lock_globals`` resolve lock constructor
+calls through the import aliases so ``threading.Lock`` and
 ``asyncio.Lock`` stay distinguishable after the leaf name collides.
 """
 
@@ -59,10 +48,6 @@ MUTATOR_METHODS = frozenset({
     "remove", "discard", "pop", "popleft", "popitem", "clear",
     "update", "setdefault", "move_to_end", "rotate",
 })
-
-TASK_SPAWN_APIS = frozenset({"asyncio.create_task",
-                             "asyncio.ensure_future"})
-_SPAWN_LEAVES = frozenset({"create_task", "ensure_future"})
 
 _MAX_GAP_PAIRS = 256  # defensive bound on the read x write product
 
@@ -149,86 +134,7 @@ def _lockish_chain(chain: str, lock_attrs: dict[str, str],
 
 
 # ----------------------------------------------------------------------
-# Spawn / dispatch sites (any function color)
-# ----------------------------------------------------------------------
-
-def spawn_entry(node: ast.Call, raw: str, aliases: dict[str, str],
-                parents: dict[int, ast.AST]) -> dict | None:
-    """A ``task_spawns`` record for one call, or None if not a spawn."""
-    canonical = canonical_dotted(raw, aliases)
-    leaf = raw.split(".")[-1]
-    if canonical not in TASK_SPAWN_APIS and leaf not in _SPAWN_LEAVES:
-        return None
-    parent = parents.get(id(node))
-    sink = "other"
-    target: str | None = None
-    if isinstance(parent, ast.Await):
-        sink = "awaited"
-    elif isinstance(parent, ast.Expr):
-        sink = "dropped"
-    elif isinstance(parent, ast.Return):
-        sink = "returned"
-    elif isinstance(parent, (ast.Call, ast.Tuple, ast.List, ast.Set,
-                             ast.GeneratorExp, ast.ListComp)):
-        sink = "handed_off"  # gather(...), task groups, containers
-    elif isinstance(parent, ast.Assign):
-        if len(parent.targets) == 1 \
-                and isinstance(parent.targets[0], ast.Name):
-            sink, target = "local", parent.targets[0].id
-        elif len(parent.targets) == 1 \
-                and isinstance(parent.targets[0], ast.Attribute):
-            sink = "stored"
-        else:
-            sink = "local"
-    elif isinstance(parent, ast.NamedExpr):
-        sink, target = "local", parent.target.id \
-            if isinstance(parent.target, ast.Name) else None
-    elif isinstance(parent, (ast.AnnAssign, ast.AugAssign)):
-        sink = "stored" if isinstance(parent.target, ast.Attribute) \
-            else "local"
-        if isinstance(parent.target, ast.Name):
-            target = parent.target.id
-    return {"api": leaf, "lineno": node.lineno, "col": node.col_offset,
-            "sink": sink, "target": target}
-
-
-def dispatch_entry(node: ast.Call, raw: str, aliases: dict[str, str],
-                   origins) -> dict | None:
-    """A ``dispatches`` record for executor hand-offs, or None.
-
-    ``origins`` is a callable ``(expr, near_node) -> set[str]`` — the
-    enclosing extractor's flow-sensitive origin query.
-    """
-    canonical = canonical_dotted(raw, aliases)
-    leaf = raw.split(".")[-1]
-    fn_arg: ast.expr | None = None
-    executor_origin = "thread"
-    if canonical == "asyncio.to_thread":
-        fn_arg = node.args[0] if node.args else None
-    elif leaf == "run_in_executor":
-        if len(node.args) >= 2:
-            fn_arg = node.args[1]
-        pool = node.args[0] if node.args else None
-        if pool is None or (isinstance(pool, ast.Constant)
-                            and pool.value is None):
-            executor_origin = "thread"
-        else:
-            tags = origins(pool, node)
-            if any("ThreadPoolExecutor" in tag for tag in tags):
-                executor_origin = "thread"
-            elif any("ProcessPoolExecutor" in tag for tag in tags):
-                executor_origin = "process"
-            else:
-                executor_origin = "unknown"
-    else:
-        return None
-    target = dotted_name(fn_arg) if fn_arg is not None else None
-    return {"api": leaf, "lineno": node.lineno, "col": node.col_offset,
-            "executor": executor_origin, "target": target}
-
-
-# ----------------------------------------------------------------------
-# The coroutine summary (suspensions, shared-state gaps, lock spans)
+# The coroutine summary (shared-state gaps)
 # ----------------------------------------------------------------------
 
 def _self_chain(node: ast.expr) -> str | None:
@@ -318,12 +224,8 @@ def _async_lock_covers(spans: list[dict], first: int, last: int) -> bool:
 def async_summary(func: ast.AsyncFunctionDef, cfg: CFG,
                   lock_attrs: dict[str, str],
                   module_locks: dict[str, str]) -> dict:
-    """The coroutine-only fact blob (suspensions, gaps, lock spans)."""
+    """The coroutine-only fact blob: its atomicity gaps."""
     scfg = suspension.SuspensionCFG(func, cfg)
-    suspensions = [
-        {"lineno": getattr(stmt, "lineno", 0), "kind": kind}
-        for stmt, kind in scfg.suspension_points()]
-
     placed: list[ast.stmt] = [stmt for block in cfg.blocks.values()
                               for stmt in block.stmts]
     spans = _lock_spans(placed, lock_attrs, module_locks)
@@ -378,5 +280,4 @@ def async_summary(func: ast.AsyncFunctionDef, cfg: CFG,
                 break
 
     gaps.sort(key=lambda gap: (gap["chain"], gap["write_line"]))
-    return {"suspensions": suspensions, "gaps": gaps,
-            "lock_spans": spans}
+    return {"gaps": gaps}

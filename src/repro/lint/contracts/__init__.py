@@ -1,23 +1,8 @@
 """Contract analysis: the SIM3xx family (see DESIGN.md §14).
 
-Cross-implementation contracts — live caches vs. replay kernels, metric
-producers vs. the registered namespaces, wire speakers vs. the schema
-tables — are runtime-checked by equivalence tests, which catch drift
-late and only on exercised paths.  This family proves the contracts at
-lint time, from the same cached per-module facts the SIM1xx/SIM2xx
-passes use:
-
-- SIM301 — live↔replay stats-footprint parity, per cache model;
-- SIM302 — metric-name literals resolve against the pre-registered
-  ``serve.*`` tables and the ``live.*``/``sim.*`` conventions;
-- SIM303 — wire fields read/written by the serve handlers exist in
-  some schema version within the compat span; every op a client sends
-  has a server handler;
-- SIM304 — ``REPRO_*`` environment variables resolve through the
-  central ``repro.envvars`` table;
-- SIM305 — version constants are compared only via their helper
-  functions, never against raw integer literals.
-
-The contracts themselves (model maps, module lists, waivers) live in
-:mod:`repro.lint.contracts.spec`; the rules are generic over them.
+A contract is an invariant kept in two places at once, with nothing
+but convention tying the copies together.  The one rule here, SIM304,
+checks that every ``REPRO_*`` environment variable is read through the
+central :mod:`repro.envvars` table, from the same cached per-module
+facts the SIM2xx pass uses.
 """

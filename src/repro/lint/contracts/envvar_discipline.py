@@ -24,9 +24,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.lint.contracts import spec
 from repro.lint.core import Violation
 from repro.lint.semantic.rules import SemanticRule, register_semantic
+
+#: The one module allowed to spell ``REPRO_*`` literals; everything
+#: else must read the constants it exports.
+ENVVARS_MODULE = "repro.envvars"
 
 
 @register_semantic
@@ -39,18 +42,18 @@ class EnvVarDisciplineRule(SemanticRule):
 
     def check_program(self, program) -> Iterable[Violation]:
         declared: dict[str, str] = {}
-        table = program.modules.get(spec.ENVVARS_MODULE)
+        table = program.modules.get(ENVVARS_MODULE)
         if table is not None:
             for const, value in table["const_tables"].items():
                 if isinstance(value, str) and value.startswith("REPRO_"):
                     declared[value] = const
         for module, facts in sorted(program.modules.items()):
-            if module == spec.ENVVARS_MODULE:
+            if module == ENVVARS_MODULE:
                 continue
             for literal in facts["env_literals"]:
                 known = declared.get(literal["name"])
                 hint = f"repro.envvars.{known}" if known else \
-                    f"a constant declared in {spec.ENVVARS_MODULE}"
+                    f"a constant declared in {ENVVARS_MODULE}"
                 yield self.violation(
                     facts["path"], literal["lineno"], 0,
                     f"raw environment-variable literal "

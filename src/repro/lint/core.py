@@ -13,7 +13,7 @@ Suppression comments::
 
     something_noisy()          # lint: disable=SIM001
     other_thing()              # lint: disable=SIM001,SIM007
-    # lint: disable-file=SIM008   (anywhere in the file, whole file)
+    # lint: disable-file=SIM009   (anywhere in the file, whole file)
 """
 
 from __future__ import annotations
@@ -116,23 +116,6 @@ class FileContext:
     # Convenience used by several rules ---------------------------------
     def walk(self) -> Iterator[ast.AST]:
         return ast.walk(self.tree)
-
-    def has_main_guard(self) -> bool:
-        """True for CLI-style modules: ``if __name__ == "__main__":``."""
-        for node in self.tree.body:
-            if not isinstance(node, ast.If):
-                continue
-            test = node.test
-            if (isinstance(test, ast.Compare)
-                    and isinstance(test.left, ast.Name)
-                    and test.left.id == "__name__"
-                    and len(test.ops) == 1
-                    and isinstance(test.ops[0], ast.Eq)
-                    and len(test.comparators) == 1
-                    and isinstance(test.comparators[0], ast.Constant)
-                    and test.comparators[0].value == "__main__"):
-                return True
-        return False
 
 
 class Rule:
@@ -273,18 +256,3 @@ class ConstFolder:
             if isinstance(node.op, ast.Pow):
                 return left ** right if 0 <= right < 64 else None
         return None
-
-
-def module_int_env(tree: ast.Module,
-                   seed_env: dict[str, int] | None = None) -> dict[str, int]:
-    """Constant environment from module-level ``NAME = <int expr>``."""
-    env = dict(seed_env or {})
-    folder = ConstFolder(env)
-    for node in tree.body:
-        if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)):
-            value = folder.fold(node.value)
-            if value is not None:
-                env[node.targets[0].id] = value
-                folder.env[node.targets[0].id] = value
-    return env

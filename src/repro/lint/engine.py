@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.lint.core import (FileContext, FileRule, ProjectRule, Violation,
-                             all_rules, parse_suppressions)
+                             all_rules)
 
 CACHE_VERSION = 1
 _SKIP_DIR_PARTS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache",
@@ -126,8 +126,8 @@ def lint_paths(paths: list[str], *, root: str | os.PathLike | None = None,
                ) -> LintResult:
     """Run every registered rule over the Python files under ``paths``.
 
-    With ``semantic=True`` the whole-program families (SIM1xx, SIM2xx,
-    SIM3xx) run on top; their facts/findings cache in
+    With ``semantic=True`` the whole-program families (SIM2xx, SIM3xx)
+    run on top; their facts/findings cache in
     ``semantic_cache_file`` (default
     ``<root>/.lint-semantic-cache.json``).
     """
@@ -255,57 +255,3 @@ def _decode_suppressions(entry: dict) -> tuple[dict[int, set[str]], set[str]]:
     per_line = {int(line): set(codes)
                 for line, codes in entry.get("line_suppress", {}).items()}
     return per_line, set(entry.get("file_suppress", ()))
-
-
-# ----------------------------------------------------------------------
-# Baselines: land strict rules without blocking unrelated work
-# ----------------------------------------------------------------------
-BASELINE_VERSION = 1
-
-
-def _baseline_key(violation: Violation) -> tuple[str, str, str]:
-    # Line numbers drift with unrelated edits; identity is
-    # (file, rule, message).  Multiplicity is honoured via counting.
-    return (violation.path, violation.rule, violation.message)
-
-
-def write_baseline(result: LintResult,
-                   path: str | os.PathLike) -> int:
-    """Record the run's findings as the accepted baseline."""
-    findings = [{"path": v.path, "rule": v.rule, "line": v.line,
-                 "message": v.message} for v in result.violations]
-    payload = {"version": BASELINE_VERSION, "findings": findings}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    return len(findings)
-
-
-def load_baseline(path: str | os.PathLike) -> dict[tuple, int]:
-    """Accepted finding keys with multiplicities; {} for a missing or
-    unreadable file (every finding then counts as new)."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, ValueError):
-        return {}
-    counts: dict[tuple, int] = {}
-    for finding in payload.get("findings", ()):
-        key = (finding.get("path", ""), finding.get("rule", ""),
-               finding.get("message", ""))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def apply_baseline(result: LintResult,
-                   baseline: dict[tuple, int]
-                   ) -> tuple[list[Violation], int]:
-    """(new violations, number suppressed as already-baselined)."""
-    remaining = dict(baseline)
-    new: list[Violation] = []
-    matched = 0
-    for violation in result.violations:
-        key = _baseline_key(violation)
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-            matched += 1
-        else:
-            new.append(violation)
-    return new, matched

@@ -110,7 +110,6 @@ def render_sarif(result: LintResult) -> str:
 
 _FAMILIES = {
     "SIM0": "file/project rule (always on)",
-    "SIM1": "whole-program semantic rule (--semantic)",
     "SIM2": "async-concurrency rule (--semantic)",
     "SIM3": "contract-analysis rule (--semantic)",
 }

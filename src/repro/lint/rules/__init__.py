@@ -1,14 +1,9 @@
 """Rule catalogue.  Importing this package registers every rule."""
 
 from repro.lint.rules import (  # noqa: F401  (registration side effect)
-    config_legality,
     determinism,
     exceptions,
-    float_equality,
     magic_literals,
-    mutable_defaults,
-    printing,
     private_access,
     stats_conservation,
-    stats_reach,
 )

@@ -1,12 +1,12 @@
 """repro.lint.semantic — whole-program analysis under the lint pass.
 
-The single-file rules (SIM001–SIM010) judge one AST at a time; this
-package builds the structures they cannot: a project symbol table, a
-call graph resolving ``self.``-method and cross-module calls, and a
+The single-file rules (SIM0xx) judge one AST at a time; this package
+builds the structures they cannot: a project symbol table, a call
+graph resolving ``self.``-method and cross-module calls, and a
 per-function control-flow graph with a reaching-definitions dataflow
-solution.  Five semantic rules (SIM101–SIM105) run on top; see
-``repro.lint.semantic.rules`` for the catalogue and DESIGN.md §9 for
-the lattice and caching story.
+solution.  The SIM2xx (async concurrency) and SIM3xx (contract) rules
+run on top; see ``repro.lint.semantic.rules`` for the registry and
+DESIGN.md §9 for the caching story.
 
 Per-module *facts* (symbols, function summaries, dataflow-derived
 origins) cache by file content hash; per-module *findings* cache by the

@@ -15,8 +15,8 @@ resolve).
 describing where a value came from (``lit:int``, ``param:x``,
 ``attr:opt_number``, ``call:TCORConfig``, ``const:NO_NEXT_USE_RANK``),
 resolved flow-sensitively through the reaching definitions at the
-statement where the value is used.  The SIM103 (config freeze) and
-SIM105 (OPT provenance) rules are consumers.
+statement where the value is used.  SIM201 consumes them to tell an
+executor future's ``.result()`` from any other.
 """
 
 from __future__ import annotations

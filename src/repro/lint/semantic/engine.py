@@ -11,9 +11,8 @@ change — same signature discipline as the file-rule cache):
   module invalidates findings only for the module itself and its
   dependents — everything upstream replays.
 
-Program-scope rules (reverse reachability, global cross-checks) are
-recomputed every pass from facts; they are cheap once extraction is
-cached.  Hit/miss counters for both tiers ride on
+Program-scope rules (cross-module table checks) are recomputed every
+pass from facts; they are cheap once extraction is cached.  Hit/miss counters for both tiers ride on
 :class:`SemanticResult` and are asserted by the warm-cache tests.
 """
 
@@ -104,7 +103,7 @@ def semantic_pass(sources: dict[str, str], *,
                   cache: SemanticCache | None = None,
                   select: set[str] | None = None,
                   ignore: set[str] | None = None) -> SemanticResult:
-    """Run the semantic families (SIM1xx + SIM2xx + SIM3xx) over
+    """Run the semantic families (SIM2xx + SIM3xx) over
     ``{rel_path: source}``.
 
     Files that fail to parse are skipped here — the file pass already

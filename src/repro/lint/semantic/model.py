@@ -3,9 +3,8 @@
 Extraction (:func:`extract_module_facts`) is purely intraprocedural —
 one file in, one JSON-serializable fact dict out — which is what makes
 facts cacheable by file content hash.  Everything cross-module (name
-resolution, the call graph, reverse reachability) lives in
-:class:`Program`, rebuilt from facts on every pass; rules never touch
-an AST directly.
+resolution, the call graph) lives in :class:`Program`, rebuilt from
+facts on every pass; rules never touch an AST directly.
 
 Dependency signatures (:func:`dependency_signatures`) digest a module's
 transitive project imports, so cached per-module *findings* invalidate
@@ -23,24 +22,11 @@ from repro.lint.concurrency import facts as concurrency
 from repro.lint.core import FileContext, dotted_name, import_aliases
 from repro.lint.semantic.dataflow import FunctionDataflow
 
-FACTS_VERSION = 6
+FACTS_VERSION = 7
 
 # Environment-variable discipline (SIM304): a string constant that *is*
 # a knob name, as opposed to prose mentioning one — hence fullmatch.
 _ENV_VAR_RE = re.compile(r"REPRO_[A-Z][A-Z0-9_]*")
-
-# Dict keys that carry a wire-schema version (SIM305).
-_VERSION_KEYS = ("v", "version", "schema_version")
-
-# Method leaves that count as an obs.trace hook carrier (the Tracer's
-# simulator-facing surface) plus the ACTIVE global itself.
-TRACE_HOOK_METHODS = frozenset({
-    "cache_access", "eviction", "opt_decision", "dead_line_drop",
-    "memory_traffic", "dram_access", "tile_done", "set_tile",
-})
-_POOL_ORIGINS = ("call:concurrent.futures.ProcessPoolExecutor",
-                 "call:ProcessPoolExecutor")
-_REPORTER_METHODS = {"as_dict", "report", "as_row", "to_dict"}
 
 
 def module_name_for(rel_path: str) -> str:
@@ -53,33 +39,6 @@ def module_name_for(rel_path: str) -> str:
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(parts) or rel_path
-
-
-def _is_config_class(name: str | None) -> bool:
-    return bool(name) and name.endswith("Config")
-
-
-def _config_like_origin(origin: str,
-                        attr_types: dict[str, str],
-                        param_annotations: dict[str, str]) -> str | None:
-    """The config class name an origin descriptor points at, if any."""
-    kind, _, payload = origin.partition(":")
-    leaf = payload.split(".")[-1] if payload else ""
-    if kind == "call":
-        for part in payload.split("."):
-            if _is_config_class(part):
-                return part
-    elif kind == "param":
-        annotation = param_annotations.get(payload, "")
-        if _is_config_class(annotation.split(".")[-1]):
-            return annotation.split(".")[-1]
-    elif kind == "attr":
-        typed = attr_types.get(payload, "")
-        if _is_config_class(typed):
-            return typed
-    elif kind in ("const", "free") and _is_config_class(leaf):
-        return leaf
-    return None
 
 
 def _annotation_name(node: ast.expr | None) -> str | None:
@@ -128,56 +87,17 @@ def _literal_value(node: ast.expr) -> tuple[bool, object]:
     return False, None
 
 
-def _version_side(expr: ast.expr) -> str:
-    """Descriptor of one comparison operand for SIM305: ``int:<n>`` for
-    an integer literal, ``key:<k>`` for a versionish dict access,
-    ``const:<NAME>`` for a ``*VERSION`` constant, else ``expr``."""
-    if isinstance(expr, ast.Constant):
-        if isinstance(expr.value, int) and not isinstance(expr.value, bool):
-            return f"int:{expr.value}"
-        return "expr"
-    if isinstance(expr, ast.Call):
-        raw = dotted_name(expr.func)
-        if raw == "int" and expr.args:
-            return _version_side(expr.args[0])
-        if raw and raw.split(".")[-1] == "get" and expr.args \
-                and isinstance(expr.args[0], ast.Constant) \
-                and expr.args[0].value in _VERSION_KEYS:
-            return f"key:{expr.args[0].value}"
-        return "expr"
-    if isinstance(expr, ast.Subscript) \
-            and isinstance(expr.slice, ast.Constant) \
-            and expr.slice.value in _VERSION_KEYS:
-        return f"key:{expr.slice.value}"
-    name = dotted_name(expr)
-    if name and name.split(".")[-1].endswith("VERSION"):
-        return f"const:{name.split('.')[-1]}"
-    return "expr"
-
-
-def _literal_strings(node: ast.expr) -> list[str]:
-    """String literals in a (possibly nested) literal container."""
-    found: list[str] = []
-    for child in ast.walk(node):
-        if isinstance(child, ast.Constant) and isinstance(child.value, str):
-            found.append(child.value)
-    return found
-
-
 class _FunctionExtractor:
     """Summarizes one function body with its dataflow solution."""
 
     def __init__(self, func: ast.FunctionDef | ast.AsyncFunctionDef,
-                 qual: str, cls: dict | None, aliases: dict[str, str],
-                 module_function_names: set[str], nested: bool,
-                 module_locks: dict[str, str] | None = None) -> None:
+                 cls: dict | None, aliases: dict[str, str],
+                 lock_attrs: dict[str, str],
+                 module_locks: dict[str, str]) -> None:
         self.func = func
-        self.qual = qual
         self.cls = cls
-        self.aliases = aliases
-        self.module_function_names = module_function_names
-        self.nested = nested
-        self.module_locks = module_locks or {}
+        self.lock_attrs = lock_attrs
+        self.module_locks = module_locks
         self.flow = FunctionDataflow(func, aliases)
         self._parents: dict[int, ast.AST] = {}
         for node in self._own_nodes():
@@ -219,9 +139,6 @@ class _FunctionExtractor:
                     best = stmt
         return best
 
-    def _origins(self, expr: ast.expr, near: ast.AST) -> set[str]:
-        return self.flow.origin_of_expr(expr, self._enclosing_stmt(near))
-
     # -- the summary ---------------------------------------------------
     def summarize(self) -> dict:
         func = self.func
@@ -233,212 +150,45 @@ class _FunctionExtractor:
                 param_annotations[arg.arg] = annotation
 
         calls: list[dict] = []
-        global_writes: list[dict] = []
-        module_attr_writes: list[dict] = []
-        submits: list[dict] = []
-        attr_write_sites: list[dict] = []
-        stats_mutations: list[dict] = []
-        metric_strings: list[dict] = []
-        str_keys: list[dict] = []
-        dict_ops: list[dict] = []
-        str_compares: list[dict] = []
-        version_compares: list[dict] = []
-        task_spawns: list[dict] = []
-        dispatches: list[dict] = []
-        trace_hook = False
         is_generator = False
-        declared_globals = {
-            name for node in self._own_nodes()
-            if isinstance(node, ast.Global) for name in node.names}
-
-        cls_name = self.cls["name"] if self.cls else None
-        attr_types = self.cls["attr_types"] if self.cls else {}
-        in_stats_class = bool(cls_name) and cls_name.endswith("Stats")
-        init_like = func.name in ("__init__", "__post_init__")
         local_sym = self._local_symbolic_bindings()
 
         for node in self._own_nodes():
-            if isinstance(node, ast.Attribute) \
-                    and isinstance(node.ctx, ast.Load) \
-                    and node.attr == "ACTIVE":
-                trace_hook = True
             if isinstance(node, (ast.Yield, ast.YieldFrom)):
                 is_generator = True
-
-            if isinstance(node, ast.Subscript) \
-                    and isinstance(node.slice, ast.Constant) \
-                    and isinstance(node.slice.value, str):
-                recv = dotted_name(node.value)
-                if recv:
-                    str_keys.append({
-                        "recv": recv, "key": node.slice.value,
-                        "lineno": node.lineno,
-                        "via": "index" if isinstance(node.ctx, ast.Load)
-                        else "index_store"})
-
-            if isinstance(node, ast.Dict):
-                keys = [key.value for key in node.keys
-                        if isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)]
-                if "op" in keys:  # a wire envelope literal
-                    op_value = None
-                    for key, value in zip(node.keys, node.values):
-                        if isinstance(key, ast.Constant) \
-                                and key.value == "op" \
-                                and isinstance(value, ast.Constant) \
-                                and isinstance(value.value, str):
-                            op_value = value.value
-                    dict_ops.append({"keys": keys, "op": op_value,
-                                     "lineno": node.lineno})
-
-            if isinstance(node, ast.Compare) and len(node.ops) == 1:
-                sides = (node.left, node.comparators[0])
-                if isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
-                    for this, other in (sides, sides[::-1]):
-                        if isinstance(other, ast.Constant) \
-                                and isinstance(other.value, str):
-                            name = dotted_name(this)
-                            if name:
-                                str_compares.append(
-                                    {"name": name, "value": other.value,
-                                     "lineno": node.lineno})
-                left = _version_side(node.left)
-                right = _version_side(node.comparators[0])
-                if left.partition(":")[0] in ("key", "const") \
-                        or right.partition(":")[0] in ("key", "const"):
-                    version_compares.append(
-                        {"left": left, "right": right,
-                         "lineno": node.lineno})
-
-            if isinstance(node, ast.Call):
-                raw = dotted_name(node.func)
-                if raw is not None:
-                    head, _, tail = raw.partition(".")
-                    recorded = raw
-                    if head in local_sym:
-                        # l2 = shared.l2; l2.stats.m() records as
-                        # shared.l2.stats.m so chains resolve.
-                        recorded = f"{local_sym[head]}.{tail}" if tail \
-                            else local_sym[head]
-                    entry: dict = {"name": recorded, "lineno": node.lineno,
-                                   "col": node.col_offset}
-                    if node.args:
-                        entry["pos"] = [
-                            "|".join(sorted(self._origins(arg, node)))
-                            for arg in node.args[:8]]
-                    if node.keywords:
-                        entry["kw"] = {
-                            kw.arg: "|".join(sorted(self._origins(kw.value,
-                                                                  node)))
-                            for kw in node.keywords if kw.arg}
-                    parent = self._parents.get(id(node))
-                    if isinstance(parent, ast.Await):
-                        entry["awaited"] = True
-                    elif isinstance(parent, ast.Expr):
-                        entry["discarded"] = True
-                    calls.append(entry)
-                    leaf = raw.split(".")[-1]
-                    if leaf == "result" and "." in raw:
-                        entry["recv"] = sorted(
-                            self._origins(node.func.value, node))
-                    spawn = concurrency.spawn_entry(
-                        node, raw, self.aliases, self._parents)
-                    if spawn is not None:
-                        task_spawns.append(spawn)
-                    dispatch = concurrency.dispatch_entry(
-                        node, raw, self.aliases, self._origins)
-                    if dispatch is not None:
-                        dispatches.append(dispatch)
-                    if leaf in TRACE_HOOK_METHODS:
-                        trace_hook = True
-                    if leaf in ("submit", "map") and "." in raw:
-                        self._maybe_submit(node, raw, submits)
-                    if leaf == "expect_sum":
-                        for arg in node.args[1:3]:
-                            for name in _literal_strings(arg):
-                                metric_strings.append(
-                                    {"name": name, "lineno": node.lineno,
-                                     "role": "expect"})
-                    if leaf in ("count", "gauge", "histogram") \
-                            and node.args \
-                            and isinstance(node.args[0], ast.Constant) \
-                            and isinstance(node.args[0].value, str):
-                        metric_strings.append(
-                            {"name": node.args[0].value,
-                             "lineno": node.lineno, "role": "own",
-                             "call": recorded})
-                    if leaf in ("get", "pop", "setdefault") \
-                            and "." in recorded and node.args \
-                            and isinstance(node.args[0], ast.Constant) \
-                            and isinstance(node.args[0].value, str):
-                        str_keys.append(
-                            {"recv": recorded.rsplit(".", 1)[0],
-                             "key": node.args[0].value,
-                             "lineno": node.lineno, "via": leaf})
-                    if leaf == "setattr" and raw == "setattr" \
-                            and len(node.args) >= 2:
-                        attr_write_sites.append(self._attr_site(
-                            node.args[0], "<setattr>", node, "setattr",
-                            init_like, cls_name))
-                    if raw == "object.__setattr__" and len(node.args) >= 2:
-                        site = self._attr_site(
-                            node.args[0], "<object.__setattr__>", node,
-                            "object_setattr", init_like, cls_name)
-                        attr_write_sites.append(site)
-
-            targets: list[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            for target in targets:
-                self._classify_store(node, target, declared_globals,
-                                     global_writes, module_attr_writes,
-                                     attr_write_sites, stats_mutations,
-                                     in_stats_class, init_like, cls_name,
-                                     attr_types)
-
-        for spawn in task_spawns:
-            if spawn["sink"] == "local" and spawn.get("target"):
-                spawn["uses"] = sum(
-                    1 for node in self._own_nodes()
-                    if isinstance(node, ast.Name)
-                    and node.id == spawn["target"]
-                    and isinstance(node.ctx, ast.Load))
+            if not isinstance(node, ast.Call):
+                continue
+            raw = dotted_name(node.func)
+            if raw is None:
+                continue
+            head, _, tail = raw.partition(".")
+            recorded = raw
+            if head in local_sym:
+                # l2 = shared.l2; l2.stats.m() records as
+                # shared.l2.stats.m so chains resolve.
+                recorded = f"{local_sym[head]}.{tail}" if tail \
+                    else local_sym[head]
+            entry: dict = {"name": recorded, "lineno": node.lineno,
+                           "col": node.col_offset}
+            if isinstance(self._parents.get(id(node)), ast.Await):
+                entry["awaited"] = True
+            if raw.split(".")[-1] == "result" and "." in raw:
+                # What the receiver of ``x.result()`` was bound to, so
+                # SIM201 can tell an executor future from any other.
+                entry["recv"] = sorted(self.flow.origin_of_expr(
+                    node.func.value, self._enclosing_stmt(node)))
+            calls.append(entry)
 
         summary = {
-            "qual": self.qual,
-            "name": func.name,
-            "lineno": func.lineno,
-            "cls": cls_name,
-            "nested": self.nested,
+            "cls": self.cls["name"] if self.cls else None,
             "is_async": isinstance(func, ast.AsyncFunctionDef),
             "is_generator": is_generator,
-            "params": self.flow.params,
             "param_annotations": param_annotations,
-            "decorators": [dotted_name(d.func if isinstance(d, ast.Call)
-                                       else d) or "?"
-                           for d in func.decorator_list],
             "calls": calls,
-            "global_writes": global_writes,
-            "module_attr_writes": module_attr_writes,
-            "submits": submits,
-            "task_spawns": task_spawns,
-            "dispatches": dispatches,
-            "attr_write_sites": attr_write_sites,
-            "stats_mutations": stats_mutations,
-            "metric_strings": metric_strings,
-            "str_keys": str_keys,
-            "dict_ops": dict_ops,
-            "str_compares": str_compares,
-            "version_compares": version_compares,
-            "trace_hook": trace_hook,
         }
         if summary["is_async"]:
-            lock_attrs = self.cls.get("lock_types", {}) if self.cls \
-                else {}
             summary["async"] = concurrency.async_summary(
-                func, self.flow.cfg, lock_attrs, self.module_locks)
+                func, self.flow.cfg, self.lock_attrs, self.module_locks)
         return summary
 
     def _local_symbolic_bindings(self) -> dict[str, str]:
@@ -460,121 +210,12 @@ class _FunctionExtractor:
         return {name: chain for name, chain in candidates.items()
                 if store_counts.get(name) == 1 and name not in roots}
 
-    def _maybe_submit(self, node: ast.Call, raw: str,
-                      submits: list[dict]) -> None:
-        receiver = raw.rsplit(".", 1)[0]
-        origins = self.flow.origins_of_name(receiver.split(".")[0],
-                                            self._enclosing_stmt(node))
-        if not any(origin in _POOL_ORIGINS for origin in origins):
-            return
-        if not node.args:
-            return
-        fn = node.args[0]
-        entry = {"lineno": node.lineno, "col": node.col_offset,
-                 "method": raw.split(".")[-1], "target": None,
-                 "kind": "other"}
-        if isinstance(fn, ast.Lambda):
-            entry["kind"] = "lambda"
-        elif isinstance(fn, ast.Name):
-            entry["target"] = fn.id
-            fn_origins = self.flow.origins_of_name(
-                fn.id, self._enclosing_stmt(node))
-            if any(origin == "bind:def" for origin in fn_origins):
-                entry["kind"] = "nested"
-            else:
-                entry["kind"] = "name"
-        elif isinstance(fn, ast.Attribute):
-            entry["kind"] = "attr"
-            entry["target"] = dotted_name(fn)
-        submits.append(entry)
-
-    def _attr_site(self, receiver: ast.expr, field: str, node: ast.AST,
-                   via: str, init_like: bool, cls_name: str | None) -> dict:
-        origins = sorted(self._origins(receiver, node))
-        is_self = isinstance(receiver, ast.Name) and receiver.id == "self"
-        return {"field": field, "lineno": node.lineno,
-                "col": getattr(node, "col_offset", 0), "via": via,
-                "recv_origins": origins,
-                "recv": dotted_name(receiver) or "?",
-                "self_ctx": bool(is_self and init_like),
-                "cls": cls_name}
-
-    def _classify_store(self, stmt: ast.AST, target: ast.expr,
-                        declared_globals: set[str],
-                        global_writes: list[dict],
-                        module_attr_writes: list[dict],
-                        attr_write_sites: list[dict],
-                        stats_mutations: list[dict],
-                        in_stats_class: bool, init_like: bool,
-                        cls_name: str | None,
-                        attr_types: dict[str, str]) -> None:
-        if isinstance(target, ast.Name):
-            if target.id in declared_globals:
-                global_writes.append({"name": target.id,
-                                      "lineno": stmt.lineno})
-            return
-        if isinstance(target, ast.Subscript):
-            # x.__dict__["f"] = v  /  vars(x)["f"] = v
-            base = target.value
-            if isinstance(base, ast.Attribute) and base.attr == "__dict__":
-                attr_write_sites.append(self._attr_site(
-                    base.value, "<__dict__>", stmt, "dict",
-                    init_like, cls_name))
-            elif isinstance(base, ast.Call) \
-                    and dotted_name(base.func) == "vars" and base.args:
-                attr_write_sites.append(self._attr_site(
-                    base.args[0], "<vars()>", stmt, "dict",
-                    init_like, cls_name))
-            return
-        if not isinstance(target, ast.Attribute):
-            return
-
-        dotted = dotted_name(target)
-        if dotted:
-            head = dotted.split(".")[0]
-            canonical = self.aliases.get(head)
-            if canonical and len(dotted.split(".")) == 2:
-                module_attr_writes.append(
-                    {"target": f"{canonical}.{target.attr}",
-                     "lineno": stmt.lineno})
-
-        attr_write_sites.append(self._attr_site(
-            target.value, target.attr, stmt, "store", init_like, cls_name))
-
-        # Stats counter mutations, three shapes:
-        #   self.<f>            (inside a *Stats class method)
-        #   <recv>.stats.<f>    (through the owning structure)
-        #   self.<attr>.<f>     (attr whose __init__-assigned type is *Stats)
-        receiver = target.value
-        if in_stats_class and isinstance(receiver, ast.Name) \
-                and receiver.id == "self":
-            stats_mutations.append({"field": target.attr,
-                                    "lineno": stmt.lineno,
-                                    "stats_cls": cls_name})
-        elif isinstance(receiver, ast.Attribute):
-            if receiver.attr == "stats":
-                stats_mutations.append({"field": target.attr,
-                                        "lineno": stmt.lineno,
-                                        "stats_cls":
-                                            attr_types.get("stats")})
-            elif attr_types.get(receiver.attr, "").endswith("Stats"):
-                stats_mutations.append({"field": target.attr,
-                                        "lineno": stmt.lineno,
-                                        "stats_cls":
-                                            attr_types[receiver.attr]})
-
 
 def _class_facts(node: ast.ClassDef) -> dict:
     methods: list[str] = []
     properties: list[str] = []
     counter_fields: dict[str, int] = {}
     attr_types: dict[str, str] = {}
-    is_dataclass = False
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) \
-            else decorator
-        if dotted_name(target) in ("dataclass", "dataclasses.dataclass"):
-            is_dataclass = True
     for item in node.body:
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
             decorators = {dotted_name(d) for d in item.decorator_list}
@@ -644,14 +285,11 @@ def _class_facts(node: ast.ClassDef) -> dict:
                 attr_types[item.target.id] = annotation.split(".")[-1]
     return {
         "name": node.name,
-        "lineno": node.lineno,
         "bases": [dotted_name(base) or "?" for base in node.bases],
-        "is_dataclass": is_dataclass,
         "methods": methods,
         "properties": properties,
         "counter_fields": counter_fields,
         "attr_types": attr_types,
-        "has_reporter": bool(set(methods) & _REPORTER_METHODS),
     }
 
 
@@ -672,9 +310,7 @@ def extract_module_facts(ctx: FileContext) -> dict:
             for item in node.names:
                 relative_imports.append(f"{stem}.{item.name}")
 
-    module_globals: dict[str, int] = {}
     module_aliases: dict[str, str] = {}
-    module_global_types: dict[str, str] = {}
     const_tables: dict[str, object] = {}
     for node in tree.body:
         targets = []
@@ -686,13 +322,8 @@ def extract_module_facts(ctx: FileContext) -> dict:
         for target in targets:
             if not isinstance(target, ast.Name):
                 continue
-            module_globals[target.id] = node.lineno
             if isinstance(value, ast.Name):
                 module_aliases[target.id] = value.id
-            elif isinstance(value, ast.Call):
-                called = dotted_name(value.func)
-                if called:
-                    module_global_types[target.id] = called.split(".")[-1]
             if value is not None:
                 ok, literal = _literal_value(value)
                 if ok:
@@ -707,50 +338,33 @@ def extract_module_facts(ctx: FileContext) -> dict:
 
     classes: dict[str, dict] = {}
     functions: dict[str, dict] = {}
-    module_function_names = {
-        node.name for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-
-    attr_loads: set[str] = set()
-    attr_stores: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            if isinstance(node.ctx, ast.Load):
-                attr_loads.add(node.attr)
-            elif isinstance(node.ctx, ast.Store):
-                attr_stores.add(node.attr)
-
     module_locks = concurrency.lock_globals(tree, aliases)
 
-    def visit_function(func, cls: dict | None, prefix: str,
-                       nested: bool) -> None:
+    def visit_function(func, cls: dict | None, lock_attrs: dict[str, str],
+                       prefix: str) -> None:
         qual = f"{prefix}{func.name}"
-        extractor = _FunctionExtractor(func, qual, cls, aliases,
-                                       module_function_names, nested,
-                                       module_locks)
-        functions[qual] = extractor.summarize()
+        functions[qual] = _FunctionExtractor(
+            func, cls, aliases, lock_attrs, module_locks).summarize()
         for child in ast.walk(func):
             if child is func:
                 continue
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner_qual = f"{qual}.<locals>.{child.name}"
                 if inner_qual not in functions:
-                    inner = _FunctionExtractor(
-                        child, inner_qual, cls, aliases,
-                        module_function_names, True, module_locks)
-                    functions[inner_qual] = inner.summarize()
+                    functions[inner_qual] = _FunctionExtractor(
+                        child, cls, aliases, lock_attrs,
+                        module_locks).summarize()
 
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            visit_function(node, None, "", False)
+            visit_function(node, None, {}, "")
         elif isinstance(node, ast.ClassDef):
             cls = _class_facts(node)
-            cls["lock_types"] = concurrency.lock_attrs_of_class(node,
-                                                                aliases)
             classes[node.name] = cls
+            lock_attrs = concurrency.lock_attrs_of_class(node, aliases)
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    visit_function(item, cls, f"{node.name}.", False)
+                    visit_function(item, cls, lock_attrs, f"{node.name}.")
 
     return {
         "version": FACTS_VERSION,
@@ -758,16 +372,11 @@ def extract_module_facts(ctx: FileContext) -> dict:
         "path": ctx.path,
         "imports": aliases,
         "relative_imports": relative_imports,
-        "module_globals": module_globals,
         "module_aliases": module_aliases,
-        "module_global_types": module_global_types,
         "const_tables": const_tables,
         "env_literals": env_literals,
-        "lock_globals": module_locks,
         "classes": classes,
         "functions": functions,
-        "attr_loads": sorted(attr_loads),
-        "attr_stores": sorted(attr_stores),
     }
 
 
@@ -775,33 +384,22 @@ def extract_module_facts(ctx: FileContext) -> dict:
 # Whole-program model
 # ----------------------------------------------------------------------
 class Program:
-    """Facts of every scanned module, indexed, with a call graph."""
+    """Facts of every scanned module, indexed for call resolution."""
 
     def __init__(self, facts_by_path: dict[str, dict]) -> None:
-        self.facts_by_path = facts_by_path
         self.modules: dict[str, dict] = {
             facts["module"]: facts for facts in facts_by_path.values()}
-        self.path_of_module: dict[str, str] = {
-            facts["module"]: path
-            for path, facts in facts_by_path.items()}
         self._class_index: dict[str, list[tuple[str, dict]]] = {}
         for name, facts in self.modules.items():
             for cls_name, cls in facts["classes"].items():
                 self._class_index.setdefault(cls_name, []).append(
                     (name, cls))
-        self._edges: dict[str, set[str]] | None = None
-        self._reverse: dict[str, set[str]] | None = None
 
     # -- lookups -------------------------------------------------------
     def function(self, fq: str) -> dict | None:
         module, _, qual = fq.partition(":")
         facts = self.modules.get(module)
         return facts["functions"].get(qual) if facts else None
-
-    def functions(self):
-        for module, facts in self.modules.items():
-            for qual, func in facts["functions"].items():
-                yield f"{module}:{qual}", func
 
     def module_of_target(self, canonical: str) -> str | None:
         """Longest scanned module that prefixes a canonical dotted name."""
@@ -819,15 +417,6 @@ class Program:
                      attr: str) -> str | None:
         """Inferred type name of ``cls.attr`` (base classes included)."""
         return self._attr_type_of(module, cls_name, attr)
-
-    def lock_type_of(self, module: str, cls_name: str,
-                     attr: str) -> str | None:
-        """Canonical lock constructor behind ``self.<attr>``, if any."""
-        for _cand_module, cls in self._class_candidates(module, cls_name):
-            typed = cls.get("lock_types", {}).get(attr)
-            if typed:
-                return typed
-        return None
 
     # -- call resolution -----------------------------------------------
     def _resolve_method(self, module: str, cls_name: str,
@@ -1013,59 +602,6 @@ class Program:
         if alias and alias in target_facts["functions"]:
             return f"{target_module}:{alias}"
         return None
-
-    # -- call graph ----------------------------------------------------
-    def _build_edges(self) -> None:
-        self._edges = {}
-        self._reverse = {}
-        for fq, func in self.functions():
-            module, _, qual = fq.partition(":")
-            targets = set()
-            for call in func["calls"]:
-                resolved = self.resolve_call(module, qual, call["name"])
-                if resolved:
-                    targets.add(resolved)
-            self._edges[fq] = targets
-            for target in targets:
-                self._reverse.setdefault(target, set()).add(fq)
-
-    @property
-    def call_edges(self) -> dict[str, set[str]]:
-        if self._edges is None:
-            self._build_edges()
-        return self._edges
-
-    @property
-    def reverse_edges(self) -> dict[str, set[str]]:
-        if self._reverse is None:
-            self._build_edges()
-        return self._reverse
-
-    def reachable_from(self, fq: str) -> set[str]:
-        """Transitive closure over call edges, ``fq`` included."""
-        seen: set[str] = set()
-        frontier = [fq]
-        edges = self.call_edges
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(edges.get(current, ()))
-        return seen
-
-    def callers_of(self, fq: str) -> set[str]:
-        """Transitive closure over *reverse* call edges, ``fq`` included."""
-        seen: set[str] = set()
-        frontier = [fq]
-        reverse = self.reverse_edges
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(reverse.get(current, ()))
-        return seen
 
 
 def project_imports(facts: dict, known_modules: set[str]) -> set[str]:

@@ -1,4 +1,4 @@
-"""Semantic rule catalogue (SIM101–SIM105, SIM201–SIM206, SIM301–SIM305).
+"""Semantic rule catalogue (SIM201, SIM202, SIM304).
 
 Semantic rules live in their own registry — they need a
 :class:`~repro.lint.semantic.model.Program`, not a single file's AST,
@@ -9,8 +9,8 @@ scopes exist:
   module and its (transitive) imports, so they are cached per module
   keyed by its dependency signature;
 - ``scope = "program"`` — findings depend on the *whole* file set
-  (reverse reachability, global cross-checks) and are recomputed every
-  pass from cached facts.
+  (a table declared in one module, checked in every other) and are
+  recomputed every pass from cached facts.
 """
 
 from __future__ import annotations
@@ -54,25 +54,6 @@ def register_semantic(rule_cls: type) -> type:
 
 
 def semantic_rules() -> list[SemanticRule]:
-    from repro.lint.concurrency import (  # noqa: F401
-        atomicity,
-        blocking,
-        locks,
-        obs_boundary,
-        tasks,
-    )
-    from repro.lint.contracts import (  # noqa: F401
-        envvar_discipline,
-        footprints,
-        metric_names,
-        version_discipline,
-        wire_schema,
-    )
-    from repro.lint.semantic.rules import (  # noqa: F401
-        config_freeze,
-        dead_counters,
-        fork_safety,
-        opt_provenance,
-        trace_coverage,
-    )
+    from repro.lint.concurrency import atomicity, blocking  # noqa: F401
+    from repro.lint.contracts import envvar_discipline  # noqa: F401
     return [_SEMANTIC_REGISTRY[code] for code in sorted(_SEMANTIC_REGISTRY)]

@@ -157,11 +157,8 @@ class ParallelSimulationCache(SimulationCache):
         workers = min(self.jobs, len(by_alias))
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            # The worker's only reachable global write is its own scoped
-            # activation(None) — the fork-hygiene reset above, process-
-            # local and restored on exit.
             futures = [
-                pool.submit(simulate_job_batch, alias,  # lint: disable=SIM101
+                pool.submit(simulate_job_batch, alias,
                             self.scale, tuple(batch), self.disk)
                 for alias, batch in by_alias.items()
             ]

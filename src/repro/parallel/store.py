@@ -13,16 +13,19 @@ caches warm.
 Records are one JSON file per key under ``.repro-cache/`` (override
 with ``REPRO_CACHE_DIR`` or a constructor argument); writes go through
 a temp file + ``os.replace`` so concurrent workers never publish a
-torn record, and unreadable records degrade to cache misses.
+torn record, and unreadable, stale or malformed records degrade to
+cache misses.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import os
 import threading
+import typing
 import zipfile
 import zlib
 from dataclasses import asdict, fields
@@ -164,6 +167,33 @@ def result_from_dict(data: dict) -> SystemResult:
                            if key in names})
 
 
+@functools.cache
+def _field_types(cls) -> dict[str, type]:
+    """Each dataclass field's declared type, generics unwrapped."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: typing.get_origin(hints[f.name]) or hints[f.name]
+            for f in fields(cls)}
+
+
+def _is_record_of(cls, data) -> bool:
+    """True when ``data`` holds exactly ``cls``'s fields, each of its
+    declared type (a bool is not an int)."""
+    types = _field_types(cls)
+    return (isinstance(data, dict) and data.keys() == types.keys()
+            and all(type(data[name]) is kind
+                    for name, kind in types.items()))
+
+
+def _is_result_record(data) -> bool:
+    return _is_record_of(SystemResult, data)
+
+
+def _is_tables_record(data) -> bool:
+    from repro.experiments.common import ExperimentResult
+    return isinstance(data, list) and all(
+        _is_record_of(ExperimentResult, entry) for entry in data)
+
+
 # Distinguishes temp files written by concurrent threads of one process
 # (the serve scheduler's write-through and the pool engine share a
 # cache directory); the pid component covers concurrent processes.
@@ -210,21 +240,24 @@ class DiskCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def _load(self, key: str) -> dict | None:
+    def _load(self, key: str, valid) -> dict | list | None:
+        """The record's ``data`` when ``valid(data)`` holds; anything
+        unreadable, stale or malformed counts as a miss."""
         path = self._path(key)
         try:
             record = json.loads(path.read_text())
         except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if record.get("version") != CACHE_VERSION or "data" not in record:
+            record = None
+        if not isinstance(record, dict) \
+                or record.get("version") != CACHE_VERSION \
+                or not valid(record.get("data")):
             self.misses += 1
             return None
         self.hits += 1
         return record["data"]
 
     def _read(self, key: str) -> SystemResult | None:
-        data = self._load(key)
+        data = self._load(key, _is_result_record)
         return None if data is None else result_from_dict(data)
 
     def _write(self, key: str, meta: dict, data: dict | list) -> None:
@@ -380,7 +413,8 @@ class DiskCache:
         """Cached :class:`ExperimentResult` list for one experiment, or
         ``None``.  A warm runner invocation skips the module entirely."""
         data = self._load(_digest(
-            self.signature, self._tables_payload(experiment, scale, aliases)))
+            self.signature, self._tables_payload(experiment, scale, aliases)),
+            _is_tables_record)
         if data is None:
             return None
         from repro.experiments.common import ExperimentResult

@@ -13,10 +13,6 @@ private ``_evict`` reach-through the public ``evict_matching`` API
 replaced (suppressed below, so the lint pass documents rather than
 forbids it here).
 """
-# The reference path predates the dead_line_drop trace hook and is only
-# ever run by the equivalence tests with tracing off; its counter
-# mutations deliberately have no hooked caller chain.
-# lint: disable-file=SIM102
 
 from __future__ import annotations
 
@@ -65,6 +61,6 @@ def reference_writeback_pb_lines(shared: SharedL2,
         if not evicted.dirty:
             continue
         if progress is not None and line_is_dead(evicted.meta, progress):
-            l2.stats.dead_writebacks_avoided += 1  # lint: disable=SIM010
+            l2.stats.dead_writebacks_avoided += 1
         else:
             shared.memory.record(is_write=True, region=evicted.meta.region)

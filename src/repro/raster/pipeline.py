@@ -11,11 +11,6 @@ The pipeline reads its work from a :class:`ParameterBuffer`, so a
 successful render also certifies the whole binning/PB path: geometry in,
 pixels out.
 """
-# Raster counters (quads, fragments, flushes) are functional-model
-# roll-ups of the pixel path; the trace stream deliberately observes
-# only cache/memory/tile events, so these mutations have no hooked
-# caller chain by design.
-# lint: disable-file=SIM102
 
 from __future__ import annotations
 

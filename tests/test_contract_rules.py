@@ -1,17 +1,16 @@
-"""The five SIM3xx contract rules, on fixture projects and the real tree.
+"""The SIM3xx contract rule (SIM304), on fixture projects and the real
+tree.
 
-Fixtures follow the ``{path: source}`` convention of the other
-semantic-rule tests; paths use the real module locations
-(``src/repro/serve/schema.py`` etc.) because the contract spec keys on
-module names.  The final classes seed divergences into a copy of the
-*actual* repository sources, proving the rules bind to the real
-contract surfaces and that the live tree is clean.
+Fixtures are ``{path: source}`` dicts fed to :func:`semantic_pass` with
+caching off; paths use the real module locations
+(``src/repro/envvars.py`` etc.) because the rule keys on module names.
+The final classes run the rule over the *actual* repository sources and
+pin the program-scope cache contract.
 """
 
 from __future__ import annotations
 
 import pathlib
-import re
 from textwrap import dedent
 
 from repro.lint.semantic.engine import SemanticCache, semantic_pass
@@ -24,287 +23,6 @@ def run(sources: dict[str, str], select: set[str] | None = None):
 
 def rules_of(result) -> list[str]:
     return [violation.rule for violation in result.violations]
-
-
-STATS = """
-    from dataclasses import dataclass, field
-
-    @dataclass
-    class CacheStats:
-        reads: int = 0
-        writes: int = 0
-        writebacks: int = 0
-        bypasses: int = 0
-        by_region: dict = field(default_factory=dict)
-
-        def record(self, is_write: bool, region: str) -> None:
-            if is_write:
-                self.writes += 1
-            else:
-                self.reads += 1
-            self.by_region.setdefault(region, 0)
-
-        def note_bypass(self) -> None:
-            self.bypasses += 1
-"""
-
-TILE = """
-    from repro.caches.stats import CacheStats
-
-    class BaselineTileCache:
-        def __init__(self) -> None:
-            self.stats = CacheStats()
-
-        def access(self, is_write: bool, region: str) -> None:
-            self.stats.record(is_write, region)
-            self.stats.note_bypass()
-"""
-
-
-def tile_project(kernels: str) -> dict[str, str]:
-    return {"src/repro/caches/stats.py": STATS,
-            "src/repro/tcor/baseline_tile_cache.py": TILE,
-            "src/repro/replay/kernels.py": kernels}
-
-
-class TestStatsFootprintParity:
-    def test_matching_footprints_are_clean(self):
-        # `bypasses` is written live but spec-waived for the tile model.
-        result = run(tile_project("""
-            from repro.caches.stats import CacheStats
-
-            def replay_baseline(trace):
-                return CacheStats(reads=1, writes=2, by_region={})
-        """), select={"SIM301"})
-        assert rules_of(result) == []
-
-    def test_live_only_counter_is_flagged_at_the_ctor(self):
-        result = run(tile_project("""
-            from repro.caches.stats import CacheStats
-
-            def replay_baseline(trace):
-                return CacheStats(reads=1, by_region={})
-        """), select={"SIM301"})
-        assert rules_of(result) == ["SIM301"]
-        message = result.violations[0].message
-        assert "model `tile`" in message
-        assert "CacheStats.writes" in message
-        assert "structural zero" in message
-
-    def test_replay_only_counter_is_flagged(self):
-        # `writebacks` is a declared field no live mutation feeds.
-        result = run(tile_project("""
-            from repro.caches.stats import CacheStats
-
-            def replay_baseline(trace):
-                return CacheStats(reads=1, writes=2, writebacks=3,
-                                  by_region={})
-        """), select={"SIM301"})
-        assert rules_of(result) == ["SIM301"]
-        assert "invents history" in result.violations[0].message
-
-    def test_unknown_kwarg_and_positional_args_are_flagged(self):
-        result = run(tile_project("""
-            from repro.caches.stats import CacheStats
-
-            def replay_baseline(trace):
-                return CacheStats(1, writes=2, bogus=3, by_region={},
-                                  reads=1)
-        """), select={"SIM301"})
-        messages = sorted(v.message for v in result.violations)
-        assert len(messages) == 2
-        assert "positional" in messages[0]
-        assert "not a declared field" in messages[1]
-
-    def test_unmapped_ctor_site_is_flagged(self):
-        result = run(tile_project("""
-            from repro.caches.stats import CacheStats
-
-            def replay_baseline(trace):
-                return CacheStats(reads=1, writes=2, by_region={})
-
-            def scratch(trace):
-                return CacheStats(reads=0)
-        """), select={"SIM301"})
-        assert rules_of(result) == ["SIM301"]
-        assert "REPLAY_SITES" in result.violations[0].message
-
-    def test_vanished_ctor_is_a_finding(self):
-        result = run(tile_project("""
-            def replay_baseline(trace):
-                return None
-        """), select={"SIM301"})
-        assert rules_of(result) == ["SIM301"]
-        assert "no longer reconstructs" in result.violations[0].message
-
-    def test_partial_scan_without_replay_module_is_quiet(self):
-        result = run({"src/repro/caches/stats.py": STATS,
-                      "src/repro/tcor/baseline_tile_cache.py": TILE},
-                     select={"SIM301"})
-        assert rules_of(result) == []
-
-
-METRICS = """
-    COUNTERS = ("admitted", "rejected")
-    GAUGES = ("depth",)
-    CLUSTER_COUNTERS = ("forwarded",)
-    CLUSTER_GAUGES = ("backends",)
-
-    class MetricsRegistry:
-        def count(self, name: str, value: int = 1) -> None:
-            pass
-
-    class ServeMetrics:
-        def __init__(self) -> None:
-            self.registry = MetricsRegistry()
-
-        def count(self, name: str, value: int = 1) -> None:
-            pass
-
-    class ClusterMetrics(ServeMetrics):
-        pass
-"""
-
-
-class TestMetricNames:
-    def run_with_scheduler(self, body: str):
-        return run({
-            "src/repro/serve/metrics.py": METRICS,
-            "src/repro/serve/scheduler.py": """
-                from repro.serve.metrics import (ClusterMetrics,
-                                                 MetricsRegistry,
-                                                 ServeMetrics)
-
-                class Scheduler:
-                    def __init__(self) -> None:
-                        self.metrics = ServeMetrics()
-                        self.cluster = ClusterMetrics()
-
-                    def tick(self, registry: MetricsRegistry) -> None:
-            """ + body}, select={"SIM302"})
-
-    def test_registered_relative_and_absolute_names_are_clean(self):
-        result = self.run_with_scheduler("""
-                        self.metrics.count("admitted")
-                        self.metrics.count("batch_size")
-                        self.cluster.count("forwarded")
-                        registry.count("live.tile_cache.reads")
-                        registry.count("serve.rejected")
-        """)
-        assert rules_of(result) == []
-
-    def test_typo_in_relative_name_is_flagged(self):
-        result = self.run_with_scheduler("""
-                        self.metrics.count("admited")
-        """)
-        assert rules_of(result) == ["SIM302"]
-        assert "not a declared serve.*" in result.violations[0].message
-
-    def test_subclass_namespace_does_not_inherit_names(self):
-        # ClusterMetrics declares its own tables; the parent's counter
-        # names are not valid relative names for it.
-        result = self.run_with_scheduler("""
-                        self.cluster.count("admitted")
-        """)
-        assert rules_of(result) == ["SIM302"]
-        assert "serve.cluster.*" in result.violations[0].message
-
-    def test_registry_names_must_be_namespaced_and_registered(self):
-        result = self.run_with_scheduler("""
-                        registry.count("oops.thing")
-                        registry.count("serve.unknown")
-        """)
-        messages = sorted(v.message for v in result.violations)
-        assert len(messages) == 2
-        assert "not pre-registered" in messages[0]
-        assert "outside the live./sim./serve./anim./re. namespaces" \
-            in messages[1]
-
-    def test_unresolved_receiver_with_plain_string_is_quiet(self):
-        # str.count and friends must not be mistaken for metrics.
-        result = run({
-            "src/repro/serve/metrics.py": METRICS,
-            "src/repro/serve/text.py": """
-                def tally(lines):
-                    return sum(line.count("x") for line in lines)
-            """}, select={"SIM302"})
-        assert rules_of(result) == []
-
-
-SCHEMA = """
-    SCHEMA_VERSION = 2
-    VERSION_COMPAT_SPAN = 1
-    WIRE_FIELDS = {
-        1: ("op", "id", "ok"),
-        2: ("shard",),
-        9: ("relic",),
-    }
-
-    def versions_compatible(theirs: int) -> bool:
-        return theirs == SCHEMA_VERSION
-"""
-
-
-class TestWireSchema:
-    def test_declared_fields_and_handled_ops_are_clean(self):
-        result = run({
-            "src/repro/serve/schema.py": SCHEMA,
-            "src/repro/serve/server.py": """
-                def handle(payload):
-                    op = payload.get("op")
-                    if op == "submit":
-                        return {"op": "submit", "ok": True}
-                    if op == "status":
-                        return payload["id"]
-                    return None
-            """,
-            "src/repro/serve/client.py": """
-                def send():
-                    return {"op": "status", "id": 7}
-            """}, select={"SIM303"})
-        assert rules_of(result) == []
-
-    def test_undeclared_and_out_of_span_fields_are_flagged(self):
-        result = run({
-            "src/repro/serve/schema.py": SCHEMA,
-            "src/repro/serve/server.py": """
-                def handle(payload):
-                    if payload.get("op") == "submit":
-                        return payload.get("relic")
-                    payload["extra"] = 1
-                    return None
-            """}, select={"SIM303"})
-        messages = sorted(v.message for v in result.violations)
-        assert len(messages) == 2
-        assert "reads wire field `relic`" in messages[0]
-        assert "compat span (v1,v2)" in messages[0]
-        assert "writes wire field `extra`" in messages[1]
-
-    def test_op_without_server_handler_is_flagged(self):
-        result = run({
-            "src/repro/serve/schema.py": SCHEMA,
-            "src/repro/serve/server.py": """
-                def handle(payload):
-                    if payload.get("op") == "submit":
-                        return True
-                    return None
-            """,
-            "src/repro/serve/client.py": """
-                def send():
-                    return {"op": "purge", "id": 7}
-            """}, select={"SIM303"})
-        assert rules_of(result) == ["SIM303"]
-        assert "op `purge`" in result.violations[0].message
-        assert "unknown_op" in result.violations[0].message
-
-    def test_unrelated_receivers_are_not_wire_payloads(self):
-        result = run({
-            "src/repro/serve/schema.py": SCHEMA,
-            "src/repro/serve/server.py": """
-                def lookup(table):
-                    return table.get("whatever")
-            """}, select={"SIM303"})
-        assert rules_of(result) == []
 
 
 class TestEnvVarDiscipline:
@@ -346,61 +64,12 @@ class TestEnvVarDiscipline:
         assert rules_of(result) == []
 
 
-class TestVersionDiscipline:
-    def test_helper_comparison_is_clean(self):
-        result = run({"src/repro/serve/schema.py": SCHEMA},
-                     select={"SIM305"})
-        assert rules_of(result) == []
-
-    def test_constant_compared_outside_helper_is_flagged(self):
-        result = run({
-            "src/repro/serve/schema.py": SCHEMA,
-            "src/repro/serve/client.py": """
-                from repro.serve import schema
-
-                def check(response):
-                    return response.get("v") == schema.SCHEMA_VERSION
-            """}, select={"SIM305"})
-        assert rules_of(result) == ["SIM305"]
-        assert "versions_compatible()" in result.violations[0].message
-
-    def test_version_field_against_raw_literal_is_flagged(self):
-        result = run({
-            "src/repro/serve/client.py": """
-                def check(response):
-                    return response.get("v") == 2
-            """}, select={"SIM305"})
-        assert rules_of(result) == ["SIM305"]
-        assert "raw literal 2" in result.violations[0].message
-
-    def test_version_keys_outside_versioned_modules_are_quiet(self):
-        # `v` means "vertex" in workload land, not a protocol version.
-        result = run({
-            "src/repro/workloads/mesh.py": """
-                def is_origin(vertex):
-                    return vertex["v"] == 2
-            """}, select={"SIM305"})
-        assert rules_of(result) == []
-
-    def test_cache_cookie_constants_are_exempt(self):
-        # Key-vs-constant comparisons of unspec'd *_VERSION cookies
-        # carry no compat semantics and stay legal.
-        result = run({
-            "src/repro/parallel/store.py": """
-                CACHE_VERSION = 4
-
-                def load(payload):
-                    return payload.get("version") == CACHE_VERSION
-            """}, select={"SIM305"})
-        assert rules_of(result) == []
-
-
 def real_tree_sources() -> dict[str, str]:
-    """The actual repo modules the contract rules bind to."""
+    """The actual repo modules that read environment variables."""
     root = pathlib.Path(__file__).resolve().parent.parent
     sources = {}
-    for sub in ("src/repro/caches", "src/repro/tcor", "src/repro/replay",
-                "src/repro/serve", "src/repro/obs"):
+    for sub in ("src/repro/parallel", "src/repro/replay",
+                "src/repro/serve"):
         for path in sorted((root / sub).rglob("*.py")):
             sources[str(path.relative_to(root))] = path.read_text()
     sources["src/repro/envvars.py"] = \
@@ -409,44 +78,29 @@ def real_tree_sources() -> dict[str, str]:
 
 
 class TestRealTreeContracts:
-    def test_seeded_counter_divergence_is_exactly_one_finding(self):
-        # The acceptance check: delete one counter kwarg from the real
-        # kernels and SIM301 reports exactly that model and field.
-        sources = real_tree_sources()
-        kernels = "src/repro/replay/kernels.py"
-        mutated, hits = re.subn(r"\s*dead_evictions=[^,\n]+,", "",
-                                sources[kernels], count=1)
-        assert hits == 1
-        sources[kernels] = mutated
-        result = semantic_pass(sources, select={"SIM301"})
-        assert rules_of(result) == ["SIM301"]
-        message = result.violations[0].message
-        assert "model `l2`" in message
-        assert "CacheStats.dead_evictions" in message
-
     def test_real_tree_is_contract_clean(self):
-        result = semantic_pass(
-            real_tree_sources(),
-            select={"SIM301", "SIM302", "SIM303", "SIM304", "SIM305"})
+        result = semantic_pass(real_tree_sources(), select={"SIM304"})
         assert rules_of(result) == []
 
 
 class TestContractFactsCaching:
     def test_warm_rerun_serves_facts_and_recomputes_program_rules(
             self, tmp_path):
-        sources = {path: dedent(src) for path, src in tile_project("""
-            from repro.caches.stats import CacheStats
+        sources = {path: dedent(src) for path, src in {
+            "src/repro/envvars.py": 'NO_REPLAY = "REPRO_NO_REPLAY"\n',
+            "src/repro/parallel/store.py": """
+                import os
 
-            def replay_baseline(trace):
-                return CacheStats(reads=1, by_region={})
-        """).items()}
+                def flag():
+                    return os.environ.get("REPRO_NO_REPLAY")
+            """}.items()}
         cache_file = tmp_path / "semantic-cache.json"
         cold = semantic_pass(
             sources, cache=SemanticCache(cache_file, "sig"),
-            select={"SIM301"})
+            select={"SIM304"})
         warm = semantic_pass(
             sources, cache=SemanticCache(cache_file, "sig"),
-            select={"SIM301"})
+            select={"SIM304"})
         assert cold.facts_computed == len(sources)
         assert warm.facts_from_cache == len(sources)
         assert warm.facts_computed == 0
@@ -454,4 +108,4 @@ class TestContractFactsCaching:
         # the cached facts — and byte-identical.
         assert [v.message for v in warm.violations] == \
             [v.message for v in cold.violations]
-        assert rules_of(warm) == ["SIM301"]
+        assert rules_of(warm) == ["SIM304"]

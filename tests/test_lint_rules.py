@@ -79,89 +79,6 @@ class TestSIM001GlobalRandom:
         assert codes(result) == []
 
 
-class TestSIM002MutableDefaults:
-    def test_list_default_argument_fires(self, tmp_path):
-        result = run_lint(tmp_path, {"sim.py": """
-            def accumulate(item, into=[]):
-                into.append(item)
-                return into
-        """})
-        assert codes(result) == ["SIM002"]
-
-    def test_kwonly_dict_default_fires(self, tmp_path):
-        result = run_lint(tmp_path, {"sim.py": """
-            def configure(*, overrides={}):
-                return overrides
-        """})
-        assert codes(result) == ["SIM002"]
-
-    def test_dataclass_mutable_field_fires(self, tmp_path):
-        result = run_lint(tmp_path, {"sim.py": """
-            from dataclasses import dataclass
-            @dataclass
-            class Stats:
-                samples: list = []
-        """})
-        assert codes(result) == ["SIM002"]
-
-    def test_default_factory_clean(self, tmp_path):
-        result = run_lint(tmp_path, {"sim.py": """
-            from dataclasses import dataclass, field
-            @dataclass
-            class Holder:
-                samples: list = field(default_factory=list)
-            def accumulate(item, into=None):
-                into = [] if into is None else into
-                into.append(item)
-                return into
-        """})
-        assert codes(result) == []
-
-    def test_suppressed(self, tmp_path):
-        result = run_lint(tmp_path, {"sim.py": """
-            def accumulate(item, into=[]):  # lint: disable=SIM002
-                return into
-        """})
-        assert codes(result) == []
-
-
-class TestSIM003FloatEquality:
-    def test_float_equality_in_timing_fires(self, tmp_path):
-        result = run_lint(tmp_path, {"timing/fps.py": """
-            def check(elapsed):
-                return elapsed == 16.6
-        """})
-        assert codes(result) == ["SIM003"]
-
-    def test_not_equal_in_energy_fires(self, tmp_path):
-        result = run_lint(tmp_path, {"energy/model.py": """
-            def check(total_nj):
-                return total_nj != 0.0
-        """})
-        assert codes(result) == ["SIM003"]
-
-    def test_outside_scoped_dirs_clean(self, tmp_path):
-        result = run_lint(tmp_path, {"geometry/mesh.py": """
-            def check(x):
-                return x == 16.6
-        """})
-        assert codes(result) == []
-
-    def test_ordering_comparison_clean(self, tmp_path):
-        result = run_lint(tmp_path, {"timing/fps.py": """
-            def check(elapsed):
-                return elapsed < 16.6
-        """})
-        assert codes(result) == []
-
-    def test_suppressed(self, tmp_path):
-        result = run_lint(tmp_path, {"timing/fps.py": """
-            def check(elapsed):
-                return elapsed == 16.6  # lint: disable=SIM003
-        """})
-        assert codes(result) == []
-
-
 class TestSIM004MagicSentinel:
     def test_shift_literal_fires(self, tmp_path):
         result = run_lint(tmp_path, {"sim.py": """
@@ -274,64 +191,6 @@ class TestSIM005StatsConservation:
         assert codes(result) == []
 
 
-class TestSIM006ConfigLegality:
-    def test_non_power_of_two_sets_fires(self, tmp_path):
-        result = run_lint(tmp_path, {"sweep.py": """
-            from repro.config import CacheConfig
-            BAD = CacheConfig("tile", 48 * 1024)
-        """})
-        assert codes(result) == ["SIM006"]
-
-    def test_module_constant_folding(self, tmp_path):
-        result = run_lint(tmp_path, {"sweep.py": """
-            from repro.config import CacheConfig
-            KIB = 1024
-            BAD = CacheConfig("tile", 24 * KIB, line_bytes=64,
-                              associativity=4)
-        """})
-        assert codes(result) == ["SIM006"]
-
-    def test_indivisible_ways_fires(self, tmp_path):
-        result = run_lint(tmp_path, {"sweep.py": """
-            from repro.config import CacheConfig
-            BAD = CacheConfig("tile", 64 * 1024, associativity=3)
-        """})
-        assert codes(result) == ["SIM006"]
-
-    def test_paper_geometry_clean(self, tmp_path):
-        result = run_lint(tmp_path, {"sweep.py": """
-            from repro.config import CacheConfig
-            KIB = 1024
-            MIB = 1024 * 1024
-            TILE = CacheConfig("tile", 64 * KIB)
-            L2 = CacheConfig("l2", 1 * MIB, associativity=8,
-                             latency_cycles=12)
-        """})
-        assert codes(result) == []
-
-    def test_unfoldable_arguments_skipped(self, tmp_path):
-        result = run_lint(tmp_path, {"sweep.py": """
-            from repro.config import CacheConfig
-            def build(kib):
-                return CacheConfig("tile", kib * 1024)
-        """})
-        assert codes(result) == []
-
-    def test_total_size_below_list_cache_fires(self, tmp_path):
-        result = run_lint(tmp_path, {"sweep.py": """
-            from repro.config import TCORConfig
-            BAD = TCORConfig.for_total_size(8 * 1024)
-        """})
-        assert codes(result) == ["SIM006"]
-
-    def test_odd_primitive_buffer_ways_fires(self, tmp_path):
-        result = run_lint(tmp_path, {"sweep.py": """
-            from repro.config import TCORConfig
-            BAD = TCORConfig(primitive_buffer_associativity=3)
-        """})
-        assert codes(result) == ["SIM006"]
-
-
 class TestSIM007SwallowedExceptions:
     def test_bare_except_fires(self, tmp_path):
         result = run_lint(tmp_path, {"sim.py": """
@@ -381,40 +240,6 @@ class TestSIM007SwallowedExceptions:
                     cache.access(0)
                 except:  # lint: disable=SIM007
                     pass
-        """})
-        assert codes(result) == []
-
-
-class TestSIM008LibraryPrint:
-    def test_print_in_library_fires(self, tmp_path):
-        result = run_lint(tmp_path, {"caches/lru.py": """
-            def victim(candidates):
-                print("evicting", candidates[0])
-                return candidates[0]
-        """})
-        assert codes(result) == ["SIM008"]
-
-    def test_cli_module_exempt(self, tmp_path):
-        result = run_lint(tmp_path, {"tool.py": """
-            def main():
-                print("report")
-            if __name__ == "__main__":
-                main()
-        """})
-        assert codes(result) == []
-
-    def test_pytest_file_exempt(self, tmp_path):
-        result = run_lint(tmp_path, {"test_bench.py": """
-            def test_headline():
-                print("table row")
-        """})
-        assert codes(result) == []
-
-    def test_suppressed(self, tmp_path):
-        result = run_lint(tmp_path, {"caches/lru.py": """
-            def victim(candidates):
-                print("evicting")  # lint: disable=SIM008
-                return candidates[0]
         """})
         assert codes(result) == []
 
@@ -474,43 +299,5 @@ class TestSIM009PrivateReachThrough:
         result = run_lint(tmp_path, {"reference.py": """
             def writeback(l2, set_index, tag):
                 return l2._evict(set_index, tag)  # lint: disable=SIM009
-        """})
-        assert codes(result) == []
-
-
-class TestSIM010StatsReachThrough:
-    def test_foreign_stats_write_fires(self, tmp_path):
-        result = run_lint(tmp_path, {"policy.py": """
-            def drop_dead_line(l2):
-                l2.stats.dead_writebacks_avoided += 1
-        """})
-        assert codes(result) == ["SIM010"]
-
-    def test_plain_assignment_fires(self, tmp_path):
-        result = run_lint(tmp_path, {"policy.py": """
-            def reset(cache):
-                cache.stats.bypasses = 0
-        """})
-        assert codes(result) == ["SIM010"]
-
-    def test_own_stats_write_clean(self, tmp_path):
-        result = run_lint(tmp_path, {"cache.py": """
-            class Cache:
-                def bypass(self):
-                    self.stats.bypasses += 1
-        """})
-        assert codes(result) == []
-
-    def test_reading_foreign_stats_clean(self, tmp_path):
-        result = run_lint(tmp_path, {"report.py": """
-            def miss_count(l2):
-                return l2.stats.read_misses + l2.stats.write_misses
-        """})
-        assert codes(result) == []
-
-    def test_suppressed(self, tmp_path):
-        result = run_lint(tmp_path, {"reference.py": """
-            def reference_drop(l2):
-                l2.stats.dead_writebacks_avoided += 1  # lint: disable=SIM010
         """})
         assert codes(result) == []

@@ -9,18 +9,22 @@ signature) invalidates the store.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.api import SimulationConfig
 from repro.config import KIB
 from repro.experiments import common
-from repro.experiments.common import SimulationCache, format_table
+from repro.experiments.common import (ExperimentResult, SimulationCache,
+                                      format_table)
 from repro.experiments.driver import resolve_names, run_experiments
 from repro.parallel import (
     DiskCache,
     ParallelSimulationCache,
     SimJob,
     enumerate_jobs,
+    result_to_dict,
     simulation_code_signature,
 )
 from repro.tcor.system import SystemResult
@@ -142,6 +146,52 @@ class TestDiskCache:
         disk.put_result(GTR, baseline(64 * KIB), make_result())
         assert disk.clear() == 1
         assert list(tmp_path.glob("*.json")) == []
+
+
+def _rewrite_record_data(directory, data):
+    """Replace the ``data`` of the one record in ``directory``, keeping
+    its current version and key."""
+    (path,) = directory.glob("*.json")
+    record = json.loads(path.read_text())
+    record["data"] = data
+    path.write_text(json.dumps(record))
+
+
+_VALID = result_to_dict(make_result())
+
+
+class TestMalformedRecords:
+    """A record under the right key with the current version but the
+    wrong shape is a miss, never an exception or a defaulted hit."""
+
+    @pytest.mark.parametrize("data", [
+        {},
+        [],
+        {"label": "baseline", "alias": "GTr"},
+        {**_VALID, "pb_l2_reads": "x"},
+        {**_VALID, "pb_l2_reads": True},
+        {**_VALID, "unknown_counter": 1},
+    ], ids=["empty-dict", "list", "label-and-alias-only", "string-counter",
+            "bool-counter", "extra-field"])
+    def test_malformed_result_is_a_miss(self, tmp_path, data):
+        disk = DiskCache(tmp_path, signature="sig")
+        disk.put_result(GTR, baseline(64 * KIB), make_result())
+        assert disk.get_result(GTR, baseline(64 * KIB)) == make_result()
+        _rewrite_record_data(tmp_path, data)
+        assert disk.get_result(GTR, baseline(64 * KIB)) is None
+        assert (disk.hits, disk.misses) == (1, 1)
+
+    @pytest.mark.parametrize("data", [{}, [{}]],
+                             ids=["dict", "empty-entry"])
+    def test_malformed_tables_are_a_miss(self, tmp_path, data):
+        disk = DiskCache(tmp_path, signature="sig", table_signature="t")
+        tables = [ExperimentResult(exp_id="fig14", title="t",
+                                   headers=["a"], rows=[[1]])]
+        disk.put_tables("fig14", SCALE, ALIASES, tables)
+        assert disk.get_tables("fig14", SCALE, ALIASES) == tables
+        _rewrite_record_data(tmp_path, data)
+        assert disk.get_tables("fig14", SCALE, ALIASES) is None
+        assert (disk.hits, disk.misses) == (1, 1)
 
 
 class TestConcurrentDiskWriters:
