@@ -8,7 +8,8 @@ Public surface of the animation subsystem:
 - :func:`tile_signatures` / :func:`skip_mask` — the per-tile input
   signatures shared verbatim by the live simulator and the replay IR;
 - :class:`RenderingElimination` / :class:`REStats` — the early-discard
-  unit and its SIM301-checked stats footprint.
+  unit and the stats footprint the live engine and the replay kernels
+  share.
 """
 
 from repro.anim.animate import build_animated_workload

@@ -21,7 +21,9 @@ usual offline bound but never reorders evictions incorrectly.
 
 The stats discipline matches the cache models: :class:`REStats` is the
 dataclass the live engine mutates and the replay kernels reconstruct
-from raw counters, with SIM301 proving the two footprints identical.
+from raw counters; the animated live == replay gate
+(``tests/test_replay_equivalence.py``) compares the two field for field
+and their registry snapshots name for name.
 """
 
 from __future__ import annotations

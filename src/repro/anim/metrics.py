@@ -9,9 +9,9 @@ namespaces:
   churn setting (skip percentage, traffic and energy deltas vs RE
   off, attribute hit ratios for the OPT interaction).
 
-The absolute names are minted here — and only here — so SIM302's
-module allowlist covers the subsystem with a single prefix entry
-(``repro.anim``) instead of waivers scattered over experiment code.
+The absolute names are minted here — and only here — so experiment
+code publishes the subsystem's gauges through these helpers instead of
+spelling registry names itself.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.config import ScreenConfig
 from repro.geometry.primitives import Primitive, Vertex
-from repro.geometry.overlap import tiles_overlapped_by
+from repro.geometry.overlap import bin_triangles
 from repro.geometry.scene import DrawCommand, Scene
 
 
@@ -103,16 +103,43 @@ def sample_attribute_count(mean: float, rng: np.random.Generator) -> int:
     return _sample_attribute_count(mean, rng)
 
 
-def _mean_coverage(screen: ScreenConfig, extent: float, samples: int,
-                   size_spread: float, rng: np.random.Generator) -> float:
-    total = 0
+def _calibration_draws(screen: ScreenConfig, seed: int, samples: int,
+                       size_spread: float) -> tuple[np.ndarray, ...]:
+    """The random stream of one calibration, drawn once.
+
+    Each sample is a :func:`_fat_triangle` at a uniform center with a
+    lognormal size factor.  No draw depends on the extent being tried,
+    so every bisection step sees the same stream: per sample the center,
+    the size factor, and the unit draws behind the vertex jitter (the
+    vertex depth draws are consumed but unused).
+    """
+    rng = np.random.default_rng(seed)
+    draws = np.empty((samples, 12))
     for i in range(samples):
-        cx = rng.uniform(0, screen.width)
-        cy = rng.uniform(0, screen.height)
-        sampled = extent * rng.lognormal(0.0, size_spread)
-        prim = _fat_triangle(i, cx, cy, sampled, 3, rng)
-        total += max(1, len(tiles_overlapped_by(prim, screen)))
-    return total / samples
+        draws[i, 0] = rng.uniform(0, screen.width)
+        draws[i, 1] = rng.uniform(0, screen.height)
+        draws[i, 2] = rng.lognormal(0.0, size_spread)
+        draws[i, 3:] = rng.random(9)  # (x, y, depth) per vertex
+    cx, cy, size = draws[:, 0], draws[:, 1], draws[:, 2]
+    return cx, cy, size, draws[:, 3::3], draws[:, 4::3]
+
+
+def _sample_vertices(extent: float, draws: tuple[np.ndarray, ...]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``(n, 3)`` vertex coordinates of the calibration samples at
+    ``extent``: :func:`_fat_triangle`'s arithmetic in numpy, with
+    ``rng.uniform(low, high)`` rebuilt from its unit draw ``u`` as numpy
+    computes it, ``low + (high - low) * u``, so every vertex is
+    bit-identical to the scalar generator's."""
+    cx, cy, size, unit_x, unit_y = draws
+    sampled = extent * size
+    half = sampled / 2.0
+    jitter = (sampled * 0.15)[:, None]
+    offset_x = -jitter + (jitter - -jitter) * unit_x
+    offset_y = -jitter + (jitter - -jitter) * unit_y
+    xs = np.stack([cx + -half, cx + half, cx + 0.0], axis=1) + offset_x
+    ys = np.stack([cy + -half, cy + -half, cy + half], axis=1) + offset_y
+    return xs, ys
 
 
 def calibrate_extent_for_reuse(screen: ScreenConfig, target_reuse: float,
@@ -123,15 +150,17 @@ def calibrate_extent_for_reuse(screen: ScreenConfig, target_reuse: float,
 
     Bisection over the extent; coverage is measured by actually binning
     sample triangles drawn with the same size distribution the generator
-    uses, so the calibration is exact for the binner in use.
+    uses, so the calibration is exact for the binner in use.  Every step
+    bins all samples in one :func:`bin_triangles` call.
     """
     if target_reuse < 1.0:
         raise ValueError("target reuse must be >= 1")
     lo, hi = 1.0, float(4 * screen.tile_size * math.sqrt(target_reuse))
+    draws = _calibration_draws(screen, seed, samples, size_spread)
 
     def measure(extent: float) -> float:
-        return _mean_coverage(screen, extent, samples, size_spread,
-                              np.random.default_rng(seed))
+        counts, _ = bin_triangles(*_sample_vertices(extent, draws), screen)
+        return int(np.maximum(counts, 1).sum()) / samples
 
     while measure(hi) < target_reuse:
         hi *= 2.0

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.config import ParameterBufferConfig, ScreenConfig
-from repro.geometry.overlap import tiles_overlapped_by
+from repro.geometry.overlap import bin_primitives
 from repro.geometry.primitives import Primitive
 
 
@@ -70,15 +70,13 @@ class Scene:
     def coverage(self) -> list[list[int]]:
         """Per-primitive list of overlapped tile IDs (row-major).
 
-        Computed once and cached; order within each list is row-major,
-        which is *not* the traversal order — callers that need traversal
-        ordering re-sort by rank.
+        Computed once (the whole frame in one batched binning pass) and
+        cached; order within each list is row-major, which is *not* the
+        traversal order — callers that need traversal ordering re-sort by
+        rank.
         """
         if self._coverage is None:
-            self._coverage = [
-                tiles_overlapped_by(prim, self.screen)
-                for prim in self.primitives
-            ]
+            self._coverage = bin_primitives(self.primitives, self.screen)
         return self._coverage
 
     def tile_lists(self) -> list[list[int]]:

@@ -45,8 +45,8 @@ def trace_ir_compatible(theirs) -> bool:
 
     The IR has no compatibility span: kernels index the arrays
     positionally, so any layout change is a full break.  All version
-    comparisons go through this helper (the SIM305 contract rule
-    forbids comparing ``TRACE_IR_VERSION`` anywhere else).
+    comparisons go through this helper, so the rule lives in one
+    place.
     """
     return theirs == TRACE_IR_VERSION
 

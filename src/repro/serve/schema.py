@@ -66,9 +66,9 @@ def versions_compatible(theirs: int, ours: int = SCHEMA_VERSION) -> bool:
 # Every JSON field each schema version declares, envelope and payloads
 # alike — the machine-readable contract behind ``versions_compatible``.
 # A handler (server.py / client.py / cluster.py) may only read or write
-# fields some version within the compat span declares; the SIM303
-# contract rule enforces that statically, so adding a field means
-# declaring it here (under a new version when it ships separately).
+# fields some version within the compat span declares, so adding a
+# field means declaring it here (under a new version when it ships
+# separately).  Nothing checks the handlers against this table.
 WIRE_FIELDS = {
     1: (
         # Request envelope and server reply envelope.

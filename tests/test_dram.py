@@ -3,6 +3,9 @@
 import pytest
 
 from repro.dram import DRAMConfig, DRAMModel
+from repro.obs import Tracer, activation
+from repro.obs.events import DramAccess
+from repro.obs.registry import MetricsRegistry
 from repro.timing import tile_fetcher_throughput
 
 
@@ -68,6 +71,29 @@ class TestRowBuffer:
         dram.reset()
         assert dram.stats.accesses == 0
         assert dram.access(0) == dram.config.row_empty_cycles
+
+
+class TestTracing:
+    def test_each_access_emits_one_event_and_registers_stats(self):
+        registry = MetricsRegistry()
+        tracer = Tracer(registry=registry)
+        dram = DRAMModel()
+        stride = dram.config.row_bytes * dram.config.num_banks
+        dram.access(0)  # untraced: no event
+        with activation(tracer):
+            dram.access(64, is_write=True)
+            dram.access(stride)
+            dram.access(dram.config.row_bytes)
+        events = [event for event in tracer.ring
+                  if isinstance(event, DramAccess)]
+        assert [(e.bank, e.row, e.outcome, e.is_write) for e in events] == [
+            (0, 0, "hit", True),
+            (0, 1, "conflict", False),
+            (1, 0, "empty", False),
+        ]
+        assert tracer.events_emitted == 3
+        assert registry.prefixes() == ["live.dram_model"]
+        assert registry.snapshot()["live.dram_model.row_conflicts"] == 1
 
 
 class TestTimingIntegration:

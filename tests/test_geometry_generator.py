@@ -8,6 +8,7 @@ from repro.geometry.generator import (
     SceneParameters,
     calibrate_extent_for_reuse,
 )
+from repro.workloads.suite import BENCHMARKS
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +39,36 @@ class TestCalibration:
     def test_rejects_sub_unit_reuse(self, screen):
         with pytest.raises(ValueError):
             calibrate_extent_for_reuse(screen, 0.9)
+
+    # Extents the scalar binner calibrated, bit for bit: every suite
+    # workload's geometry, and so every golden metric, depends on them.
+    SUITE_EXTENTS = {
+        "CCS": "0x1.9f28d633bff0ep+5",
+        "SoD": "0x1.d7820ed31e858p+5",
+        "TRu": "0x1.663a25b6b9070p+4",
+        "SWa": "0x1.fe2b9fd02a0efp+4",
+        "CRa": "0x1.cc40f656ffd1cp+3",
+        "RoK": "0x1.e6a542fc7e452p+4",
+        "DDS": "0x1.98f6312e6c79cp+2",
+        "Snp": "0x1.8030cd667c124p+2",
+        "Mze": "0x1.20d60f1ebd311p+4",
+        "GTr": "0x1.ccf6c1aa0f8d2p+5",
+    }
+
+    def test_suite_extents_are_pinned(self, screen):
+        extents = {
+            alias: SceneGenerator(screen, SceneParameters(
+                num_primitives=1, target_reuse=spec.avg_reuse,
+                seed=spec.seed)).calibrated_extent.hex()
+            for alias, spec in BENCHMARKS.items()
+        }
+        assert extents == self.SUITE_EXTENTS
+
+    def test_default_and_sample_count_extents_are_pinned(self, screen):
+        assert calibrate_extent_for_reuse(screen, 3.6).hex() == \
+            "0x1.08173edde5df5p+5"
+        assert calibrate_extent_for_reuse(screen, 6.0, samples=80).hex() == \
+            "0x1.bf3706f67b912p+5"
 
 
 class TestGeneration:

@@ -11,6 +11,7 @@ engine and under ``REPRO_NO_REPLAY=1``.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -98,3 +99,18 @@ def test_second_batch_replays_the_stored_trace(tmp_path, monkeypatch):
                              "trace")
     monkeypatch.setattr(suite, "build_workload", bomb)
     assert served([tcor, baseline], store=store) == [expected, first]
+
+
+def test_worker_reports_each_failing_entry():
+    # An infinite orbit amplitude fails the workload build inside every
+    # entry's simulate() call; the worker answers each entry with its
+    # error instead of dropping it.
+    entries = tuple((key, schema.config_to_payload(RE))
+                    for key in ("first", "second"))
+    anim = AnimationSpec(frames=2, amplitude=math.inf)
+    records = simulate_request_batch(ALIAS, SCALE, entries,
+                                     schema.anim_to_payload(anim))
+    assert records == [
+        {"key": "first", "error": "ValueError: math domain error"},
+        {"key": "second", "error": "ValueError: math domain error"},
+    ]

@@ -194,6 +194,20 @@ class TestMalformedRecords:
         assert (disk.hits, disk.misses) == (1, 1)
 
 
+class TestStoreDirectory:
+    def test_repro_cache_dir_places_the_store(self, tmp_path, monkeypatch):
+        chosen = tmp_path / "chosen-store"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(chosen))
+        monkeypatch.chdir(tmp_path)
+        disk = DiskCache(signature="sig")
+        assert disk.directory == chosen
+        disk.put_result(GTR, baseline(64 * KIB), make_result())
+        records = list(chosen.glob("*.json"))
+        assert len(records) == 1
+        assert json.loads(records[0].read_text())["meta"]["alias"] == "GTr"
+        assert not (tmp_path / ".repro-cache").exists()
+
+
 class TestConcurrentDiskWriters:
     """Atomicity of the store under concurrent writers (the serving
     layer's write-through path runs in executor threads, and several
