@@ -18,7 +18,7 @@ from repro.caches.mattson import MattsonStack
 from repro.caches.policies import BeladyOPT, make_policy
 from repro.caches.set_assoc import SetAssociativeCache
 from repro.tiling.events import AttributeRead, AttributeWrite
-from repro.workloads.suite import Workload
+from repro.workloads.suite import Workload, WorkloadProfile
 
 KIB = 1024
 
@@ -73,22 +73,27 @@ def lru_fully_associative_curve(trace: list[int],
     return {c: stack.misses_for_capacity(c) / total for c in capacities}
 
 
-def suite_miss_curve(workloads: list[Workload], sizes_kib: list[int],
+def suite_miss_curve(workloads: list[Workload | WorkloadProfile],
+                     sizes_kib: list[int],
                      policy_name: str, associativity: int | None = None,
                      include_lower_bound: bool = False,
                      **policy_kwargs) -> dict:
     """Suite-average miss ratio per cache size.
 
-    Returns ``{"sizes_kib": [...], "miss_ratio": [...]}`` (plus
-    ``"lower_bound"`` when requested).  Capacity in primitives is derived
-    per workload from its measured mean attribute count, so a KiB size
-    means the same storage budget for every benchmark.
+    ``workloads`` holds built workloads or their :class:`WorkloadProfile`
+    (the experiment providers pass the latter, derived from compiled
+    traces).  Returns ``{"sizes_kib": [...], "miss_ratio": [...]}``
+    (plus ``"lower_bound"`` when requested).  Capacity in primitives is
+    derived per workload from its measured mean attribute count, so a
+    KiB size means the same storage budget for every benchmark.
     """
     per_size: list[float] = [0.0] * len(sizes_kib)
     bounds: list[float] = [0.0] * len(sizes_kib)
     for workload in workloads:
-        trace = attribute_access_trace(workload)
-        mean_attrs = workload.scenes[0].average_attributes()
+        if not isinstance(workload, WorkloadProfile):
+            workload = WorkloadProfile.of(workload)
+        trace = workload.attribute_stream
+        mean_attrs = workload.mean_attributes
         capacities = [
             primitives_capacity(size * KIB, mean_attrs) for size in sizes_kib
         ]

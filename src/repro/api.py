@@ -15,6 +15,8 @@ Every simulation, whether from these calls, the experiment providers,
 the process pool or the service, goes through :func:`run_simulation`.
 It resolves the config, finds the workload's compiled trace once
 through a :class:`WorkloadSource`, and picks the replay or live engine.
+The Tile Fetcher timing model (Figs. 23/24) runs through
+:func:`run_fetch_timing`, under the same engine rule.
 
     from repro.api import SimulationConfig, simulate
     from repro.workloads import BENCHMARKS, build_workload
@@ -39,7 +41,8 @@ from repro.obs.registry import MetricsRegistry, Observation
 if TYPE_CHECKING:
     from repro.experiments.common import ExperimentResult, SimulationProvider
     from repro.tcor.system import SystemResult
-    from repro.workloads.suite import Workload
+    from repro.timing.tiling_timing import ThroughputResult
+    from repro.workloads.suite import Workload, WorkloadProfile
 
 __all__ = [
     "Report",
@@ -48,6 +51,7 @@ __all__ = [
     "WorkloadSource",
     "connect",
     "run_experiment",
+    "run_fetch_timing",
     "run_simulation",
     "simulate",
     "simulation_cache",
@@ -161,7 +165,8 @@ class WorkloadSource:
     lazily and at most once: the compiled trace comes from the workload
     memo, then from ``store.get_trace``, then from a build + compile
     that is persisted with ``store.put_trace``; the workload itself is
-    built only when the live engine or a compile needs it.  ``store``
+    built only when a live engine or a compile needs it, and its
+    profile (:meth:`profile`) comes from the trace.  ``store``
     is duck-typed as :class:`~repro.parallel.store.DiskCache`;
     ``None`` keeps everything in memory.
     """
@@ -172,6 +177,7 @@ class WorkloadSource:
         self.store = store
         self._workload = workload
         self._trace = None
+        self._profile = None
 
     @classmethod
     def of(cls, workload: "Workload") -> "WorkloadSource":
@@ -203,63 +209,130 @@ class WorkloadSource:
                 self._workload.compiled_trace = self._trace
         return self._trace
 
+    def profile(self) -> "WorkloadProfile":
+        """The workload's profile, derived from the compiled trace, so a
+        source whose trace comes from the store builds nothing."""
+        if self._profile is None:
+            from repro.workloads.suite import WorkloadProfile
+
+            screen = (self._workload.screen if self._workload is not None
+                      else self.identity.screen)
+            self._profile = WorkloadProfile.from_trace(
+                self.trace(), self.identity.spec, screen,
+                self.identity.scale)
+        return self._profile
+
+
+def _run_engine(engine: str, obs: Observation | None, replayed, live):
+    """The engine rule every run through this module follows.
+
+    ``"auto"`` calls ``replayed()`` unless :func:`repro.replay.
+    replay_allowed` names a reason not to (a tracer is attached,
+    ``REPRO_NO_REPLAY`` is set) or the kernels raise
+    :class:`~repro.replay.ReplayUnsupportedError` for a configuration
+    outside what they model; then it calls ``live()``.  ``"live"``
+    always calls ``live()``; ``"replay"`` lets the refusal raise.
+    """
+    from repro import replay
+
+    if engine not in _ENGINES:
+        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
+    if engine != "live":
+        try:
+            reason = replay.replay_allowed(obs)
+            if reason is not None:
+                raise replay.ReplayUnsupportedError(reason)
+            return replayed()
+        except replay.ReplayUnsupportedError:
+            if engine == "replay":
+                raise
+    return live()
+
 
 def run_simulation(source: WorkloadSource, config: SimulationConfig,
                    obs: Observation | None = None,
                    engine: str = "auto") -> "SystemResult":
     """The one simulation path: every caller reaches the engines here.
 
-    ``config`` is resolved once.  ``engine="auto"`` replays the
-    source's compiled trace through the fast kernels (bit-identical to
-    the live simulator) unless replay is not allowed (a tracer is
-    attached, ``REPRO_NO_REPLAY`` is set) or the kernels refuse the
-    configuration; then the live simulator runs on the source's
-    workload, built only at that point.  ``"live"`` forces the
-    reference simulator; ``"replay"`` forces the kernels and raises
-    :class:`~repro.replay.ReplayUnsupportedError` when they cannot
-    honor the run.  Metrics are registered into ``obs`` when given.
+    ``config`` is resolved once.  The engine is chosen by the rule of
+    :func:`_run_engine`: the replay kernels run over the source's
+    compiled trace (bit-identical to the live simulator), and the live
+    simulator runs on the source's workload, built only at that point.
+    Metrics are registered into ``obs`` when given.
     """
     from repro import replay
     from repro.tcor import system
 
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
     config = config.resolved()
-    if engine != "live":
-        try:
-            reason = replay.replay_allowed(obs)
-            if reason is not None:
-                raise replay.ReplayUnsupportedError(reason)
-            if config.kind == "baseline":
-                outcome = replay.replay_baseline(
-                    source.trace(), gpu=config.gpu,
-                    include_background=config.include_background,
-                    rendering_elimination=config.rendering_elimination)
-            else:
-                outcome = replay.replay_tcor(
-                    source.trace(), gpu=config.gpu, tcor=config.tcor,
-                    l2_enhancements=config.l2_enhancements,
-                    interleaved_lists=config.interleaved_lists,
-                    include_background=config.include_background,
-                    rendering_elimination=config.rendering_elimination)
-        except replay.ReplayUnsupportedError:
-            if engine == "replay":
-                raise
+
+    def replayed() -> "SystemResult":
+        if config.kind == "baseline":
+            outcome = replay.replay_baseline(
+                source.trace(), gpu=config.gpu,
+                include_background=config.include_background,
+                rendering_elimination=config.rendering_elimination)
         else:
-            if obs is not None:
-                replay.observe_replay(obs, outcome)
-            return outcome.result
-    if config.kind == "baseline":
-        return system.simulate_baseline(
-            source.workload(), gpu=config.gpu,
+            outcome = replay.replay_tcor(
+                source.trace(), gpu=config.gpu, tcor=config.tcor,
+                l2_enhancements=config.l2_enhancements,
+                interleaved_lists=config.interleaved_lists,
+                include_background=config.include_background,
+                rendering_elimination=config.rendering_elimination)
+        if obs is not None:
+            replay.observe_replay(obs, outcome)
+        return outcome.result
+
+    def live() -> "SystemResult":
+        if config.kind == "baseline":
+            return system.simulate_baseline(
+                source.workload(), gpu=config.gpu,
+                include_background=config.include_background,
+                rendering_elimination=config.rendering_elimination, obs=obs)
+        return system.simulate_tcor(
+            source.workload(), gpu=config.gpu, tcor=config.tcor,
+            l2_enhancements=config.l2_enhancements,
+            interleaved_lists=config.interleaved_lists,
             include_background=config.include_background,
             rendering_elimination=config.rendering_elimination, obs=obs)
-    return system.simulate_tcor(
-        source.workload(), gpu=config.gpu, tcor=config.tcor,
-        l2_enhancements=config.l2_enhancements,
-        interleaved_lists=config.interleaved_lists,
-        include_background=config.include_background,
-        rendering_elimination=config.rendering_elimination, obs=obs)
+
+    return _run_engine(engine, obs, replayed, live)
+
+
+def run_fetch_timing(source: WorkloadSource, config: SimulationConfig,
+                     engine: str = "auto") -> "ThroughputResult":
+    """The Tile Fetcher's throughput (Figs. 23/24) for one organization.
+
+    ``config`` names the organization as for :func:`run_simulation`
+    and is resolved the same way; the engine rule is the same too.
+    The replay engine is the fetch-timing kernel over frame 0 of the
+    source's compiled trace; the live engine is
+    :func:`repro.timing.tiling_timing.tile_fetcher_throughput` on the
+    source's workload.  The timing model has no L2 enhancements switch,
+    no contiguous TCOR lists and no Rendering Elimination, so a config
+    asking for one raises :class:`~repro.timing.TimingUnsupportedError`
+    on either engine.
+    """
+    from repro import replay
+    from repro.timing import tiling_timing
+
+    config = config.resolved()
+    unmodelled = [name for name, asked in (
+        ("l2_enhancements=False", not config.l2_enhancements),
+        ("interleaved_lists=False", not config.interleaved_lists),
+        ("rendering_elimination=True", config.rendering_elimination),
+    ) if asked]
+    if unmodelled:
+        raise tiling_timing.TimingUnsupportedError(
+            f"the Tile Fetcher timing model does not model "
+            f"{', '.join(unmodelled)}")
+    options = {"gpu": config.gpu, "tcor": config.tcor,
+               "include_background": config.include_background}
+    return _run_engine(
+        engine, None,
+        lambda: replay.replay_fetch_timing(source.trace(), config.kind,
+                                           **options),
+        lambda: tiling_timing.tile_fetcher_throughput(
+            source.workload(), config.kind, **options))
 
 
 def simulate(workload: "Workload | WorkloadSource",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.energy.model import EnergyModel
 from repro.tcor.system import SystemResult
-from repro.workloads.suite import Workload
+from repro.workloads.suite import Workload, WorkloadProfile
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,12 @@ def memory_hierarchy_energy(result: SystemResult,
     )
 
 
-def compute_energy(workload: Workload,
+def compute_energy(workload: Workload | WorkloadProfile,
                    model: EnergyModel | None = None,
                    result: SystemResult | None = None) -> float:
     """Non-memory GPU energy (same for every cache organization).
+
+    ``workload`` is the built workload or its :class:`WorkloadProfile`.
 
     Pixel-side work (shader instructions, fixed-function raster) is
     charged per *rendered* frame; geometry work is charged for every
@@ -63,7 +65,7 @@ def compute_energy(workload: Workload,
     model = model or EnergyModel.default()
     spec = workload.spec
     screen = workload.screen
-    frames = max(1, len(workload.traces))
+    frames = max(1, workload.num_frames)
     rendered_frames = float(frames)
     if result is not None and result.tiles_total:
         rendered_frames = (frames
@@ -79,7 +81,7 @@ def compute_energy(workload: Workload,
     return shader_nj + geometry_nj + fixed_nj
 
 
-def gpu_energy(result: SystemResult, workload: Workload,
+def gpu_energy(result: SystemResult, workload: Workload | WorkloadProfile,
                model: EnergyModel | None = None) -> EnergyReport:
     """Full GPU energy report for one simulated configuration."""
     model = model or EnergyModel.default()

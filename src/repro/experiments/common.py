@@ -10,8 +10,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
-from repro.api import SimulationConfig, WorkloadSource, run_simulation
+from repro.api import (
+    SimulationConfig,
+    WorkloadSource,
+    run_fetch_timing,
+    run_simulation,
+)
 from repro.config import TCORConfig
 from repro.tcor.system import SystemResult
 from repro.workloads.suite import (
@@ -19,7 +25,11 @@ from repro.workloads.suite import (
     BENCHMARKS,
     Workload,
     WorkloadIdentity,
+    WorkloadProfile,
 )
+
+if TYPE_CHECKING:
+    from repro.timing.tiling_timing import ThroughputResult
 
 KIB = 1024
 DEFAULT_SCALE = 1.0
@@ -87,6 +97,12 @@ class SimulationProvider(ABC):
     simulation the memo does not hold, and optionally a ``prefetch``
     fan-out.  Memo keys are :meth:`baseline_key`/:meth:`tcor_key`
     tuples, which also name the ``sim.*`` metrics.
+
+    Fetch throughputs (:meth:`fetch_throughput`) and workload profiles
+    (:meth:`profile`) are computed here, in process, from each source's
+    compiled trace, so an experiment that reads only these and
+    memoized simulations never builds a workload when the trace is in
+    the store.
     """
 
     # The store workload sources load and persist compiled traces
@@ -99,6 +115,7 @@ class SimulationProvider(ABC):
         self.aliases = tuple(aliases) if aliases else BENCHMARK_ORDER
         self._sources: dict[str, WorkloadSource] = {}
         self._systems: dict[tuple, SystemResult] = {}
+        self._fetches: dict[tuple, ThroughputResult] = {}
 
     @abstractmethod
     def _run(self, alias: str, config: SimulationConfig) -> SystemResult:
@@ -120,6 +137,13 @@ class SimulationProvider(ABC):
 
     def workloads(self) -> list[Workload]:
         return [self.workload(alias) for alias in self.aliases]
+
+    def profile(self, alias: str) -> WorkloadProfile:
+        """One benchmark's workload profile (from its trace)."""
+        return self.source(alias).profile()
+
+    def profiles(self) -> list[WorkloadProfile]:
+        return [self.profile(alias) for alias in self.aliases]
 
     def _simulation(self, alias: str, config: SimulationConfig
                     ) -> SystemResult:
@@ -146,6 +170,23 @@ class SimulationProvider(ABC):
         return self._simulation(alias, SimulationConfig(
             kind="tcor", tile_cache_bytes=tile_cache_bytes,
             l2_enhancements=l2_enhancements, tcor=tcor_config))
+
+    def fetch_throughput(self, alias: str, kind: str,
+                         tile_cache_bytes: int) -> ThroughputResult:
+        """The Tile Fetcher's throughput for one organization at one
+        Tile Cache budget, memoized under the simulation's memo key.
+
+        Kept apart from the simulation memo, so fetch results are not
+        exported as ``sim.*`` metrics.
+        """
+        config = SimulationConfig(kind=kind,
+                                  tile_cache_bytes=tile_cache_bytes)
+        key = self.memo_key(alias, config)
+        result = self._fetches.get(key)
+        if result is None:
+            result = self._fetches[key] = run_fetch_timing(
+                self.source(alias), config)
+        return result
 
     def prefetch(self, names=None) -> int:
         """Eagerly simulate what the named experiments will need.

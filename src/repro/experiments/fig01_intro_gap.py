@@ -21,9 +21,9 @@ def run(scale: float = DEFAULT_SCALE,
         sizes_kib: list[int] | None = None) -> ExperimentResult:
     cache = cache or SimulationCache(scale=scale)
     sizes = sizes_kib or SIZES_KIB
-    workloads = cache.workloads()
-    lru = suite_miss_curve(workloads, sizes, "lru")
-    opt = suite_miss_curve(workloads, sizes, "belady")
+    profiles = cache.profiles()
+    lru = suite_miss_curve(profiles, sizes, "lru")
+    opt = suite_miss_curve(profiles, sizes, "belady")
     rows = [
         [size, lru_ratio, opt_ratio]
         for size, lru_ratio, opt_ratio

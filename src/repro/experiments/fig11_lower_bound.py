@@ -31,9 +31,9 @@ def run(scale: float = DEFAULT_SCALE,
         sizes_kib: list[int] | None = None) -> ExperimentResult:
     cache = cache or SimulationCache(scale=scale)
     sizes = sizes_kib or SIZES_KIB
-    workloads = cache.workloads()
-    lru = suite_miss_curve(workloads, sizes, "lru", include_lower_bound=True)
-    opt = suite_miss_curve(workloads, sizes, "belady")
+    profiles = cache.profiles()
+    lru = suite_miss_curve(profiles, sizes, "lru", include_lower_bound=True)
+    opt = suite_miss_curve(profiles, sizes, "belady")
     rows = [
         [size, bound, lru_ratio, opt_ratio]
         for size, bound, lru_ratio, opt_ratio

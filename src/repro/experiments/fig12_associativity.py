@@ -29,14 +29,14 @@ def run(scale: float = DEFAULT_SCALE,
     cache = cache or SimulationCache(scale=scale)
     sizes = sizes_kib or SIZES_KIB
     assocs = ASSOCIATIVITIES if associativities is None else associativities
-    workloads = cache.workloads()
+    profiles = cache.profiles()
 
     curves: dict[str, list[float]] = {}
     bound: list[float] = []
     for policy in ("lru", "belady"):
         for assoc in assocs:
             include_bound = policy == "lru" and assoc == assocs[0]
-            curve = suite_miss_curve(workloads, sizes, policy,
+            curve = suite_miss_curve(profiles, sizes, policy,
                                      associativity=assoc,
                                      include_lower_bound=include_bound)
             curves[f"{policy}_{_label(assoc)}"] = curve["miss_ratio"]

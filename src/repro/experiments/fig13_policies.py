@@ -25,22 +25,22 @@ def run(scale: float = DEFAULT_SCALE,
     (related-work predictors the paper cites but does not plot)."""
     cache = cache or SimulationCache(scale=scale)
     sizes = sizes_kib or SIZES_KIB
-    workloads = cache.workloads()
+    profiles = cache.profiles()
 
-    lru = suite_miss_curve(workloads, sizes, "lru",
+    lru = suite_miss_curve(profiles, sizes, "lru",
                            associativity=ASSOCIATIVITY,
                            include_lower_bound=True)
-    mru = suite_miss_curve(workloads, sizes, "mru",
+    mru = suite_miss_curve(profiles, sizes, "mru",
                            associativity=ASSOCIATIVITY)
-    drrip = suite_miss_curve(workloads, sizes, "drrip",
+    drrip = suite_miss_curve(profiles, sizes, "drrip",
                              associativity=ASSOCIATIVITY, m_bits=2)
-    opt = suite_miss_curve(workloads, sizes, "belady",
+    opt = suite_miss_curve(profiles, sizes, "belady",
                            associativity=ASSOCIATIVITY)
     extras = {}
     if extended:
-        extras["ship"] = suite_miss_curve(workloads, sizes, "ship",
+        extras["ship"] = suite_miss_curve(profiles, sizes, "ship",
                                           associativity=ASSOCIATIVITY)
-        extras["hawkeye"] = suite_miss_curve(workloads, sizes, "hawkeye",
+        extras["hawkeye"] = suite_miss_curve(profiles, sizes, "hawkeye",
                                              associativity=ASSOCIATIVITY)
     rows = [
         [size, lru["lower_bound"][i], mru["miss_ratio"][i],

@@ -22,11 +22,11 @@ def run(scale: float = DEFAULT_SCALE,
     rows = []
     averages = {label: [] for label in TILE_CACHE_SIZES}
     for alias in cache.aliases:
-        workload = cache.workload(alias)
+        profile = cache.profile(alias)
         row = [alias]
         for label, size in TILE_CACHE_SIZES.items():
-            base = gpu_energy(cache.baseline(alias, size), workload, model)
-            tcor = gpu_energy(cache.tcor(alias, size), workload, model)
+            base = gpu_energy(cache.baseline(alias, size), profile, model)
+            tcor = gpu_energy(cache.tcor(alias, size), profile, model)
             decrease = 100 * (1 - tcor.total_gpu_nj / base.total_gpu_nj)
             averages[label].append(decrease)
             row.append(round(decrease, 1))

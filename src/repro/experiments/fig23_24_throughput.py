@@ -13,7 +13,6 @@ from repro.experiments.common import (
     ExperimentResult,
     SimulationCache,
 )
-from repro.timing import tile_fetcher_throughput
 
 PAPER_SPEEDUP = {
     "64KiB": {"CCS": 3.8, "SoD": 4.3, "TRu": 5.0, "SWa": 3.6, "CRa": 5.2,
@@ -32,11 +31,8 @@ def run_one(size_label: str, scale: float = DEFAULT_SCALE,
     rows = []
     speedups = []
     for alias in cache.aliases:
-        workload = cache.workload(alias)
-        base = tile_fetcher_throughput(workload, "baseline",
-                                       total_tile_cache_bytes=size)
-        tcor = tile_fetcher_throughput(workload, "tcor",
-                                       total_tile_cache_bytes=size)
+        base = cache.fetch_throughput(alias, "baseline", size)
+        tcor = cache.fetch_throughput(alias, "tcor", size)
         speedup = (tcor.primitives_per_cycle
                    / max(1e-9, base.primitives_per_cycle))
         speedups.append(speedup)

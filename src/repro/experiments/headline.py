@@ -15,7 +15,6 @@ from repro.experiments.common import (
     ExperimentResult,
     SimulationCache,
 )
-from repro.timing import tile_fetcher_throughput
 from repro.timing.fps import fps_gain
 
 PAPER = {
@@ -32,21 +31,19 @@ def run(scale: float = DEFAULT_SCALE,
     model = EnergyModel.default()
     memhier, gpu_total, fps, speedups = [], [], [], []
     for alias in cache.aliases:
-        workload = cache.workload(alias)
+        profile = cache.profile(alias)
         for size in TILE_CACHE_SIZES.values():
             base = cache.baseline(alias, size)
             tcor = cache.tcor(alias, size)
-            base_energy = gpu_energy(base, workload, model)
-            tcor_energy = gpu_energy(tcor, workload, model)
+            base_energy = gpu_energy(base, profile, model)
+            tcor_energy = gpu_energy(tcor, profile, model)
             memhier.append(100 * (1 - tcor_energy.memory_hierarchy_nj
                                   / base_energy.memory_hierarchy_nj))
             gpu_total.append(100 * (1 - tcor_energy.total_gpu_nj
                                     / base_energy.total_gpu_nj))
-            fps.append(100 * fps_gain(base, tcor, workload))
-            base_ppc = tile_fetcher_throughput(
-                workload, "baseline", total_tile_cache_bytes=size)
-            tcor_ppc = tile_fetcher_throughput(
-                workload, "tcor", total_tile_cache_bytes=size)
+            fps.append(100 * fps_gain(base, tcor, profile))
+            base_ppc = cache.fetch_throughput(alias, "baseline", size)
+            tcor_ppc = cache.fetch_throughput(alias, "tcor", size)
             speedups.append(tcor_ppc.primitives_per_cycle
                             / max(1e-9, base_ppc.primitives_per_cycle))
 

@@ -12,7 +12,6 @@ starts reading.
 from __future__ import annotations
 
 from repro.analysis.lower_bound import primitives_capacity
-from repro.analysis.miss_curves import attribute_access_trace
 from repro.caches.fully_assoc import fully_associative_cache
 from repro.caches.policies import BeladyOPT, LookaheadOPT, make_policy
 from repro.experiments.common import (
@@ -40,9 +39,9 @@ def run(scale: float = DEFAULT_SCALE,
     closure_sums = {window: 0.0 for window in windows}
     counted = 0
     for alias in cache.aliases:
-        workload = cache.workload(alias)
-        trace = attribute_access_trace(workload)
-        mean_attrs = workload.scenes[0].average_attributes()
+        profile = cache.profile(alias)
+        trace = profile.attribute_stream
+        mean_attrs = profile.mean_attributes
         capacity = primitives_capacity(
             int(CACHE_KIB * 1024 * scale) or 1024, mean_attrs)
         lru = _misses(trace, capacity, make_policy("lru"))

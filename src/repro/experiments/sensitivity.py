@@ -21,7 +21,7 @@ from repro.experiments.common import (
     ExperimentResult,
     SimulationCache,
 )
-from repro.api import SimulationConfig, simulate
+from repro.api import SimulationConfig, WorkloadSource, simulate
 from repro.geometry.traversal import TraversalOrder
 from repro.workloads.suite import BENCHMARKS, build_workload
 
@@ -29,10 +29,20 @@ KIB = 1024
 
 
 def _sim(workload, **config_kwargs):
-    """One simulation through the public facade — replay-eligible
+    """One simulation through the public facade (``workload`` is a
+    built workload or a :class:`WorkloadSource`) — replay-eligible
     (every sweep here stays inside the kernels' geometry envelope),
     with the live simulator as automatic fallback."""
     return simulate(workload, SimulationConfig(**config_kwargs)).result
+
+
+def _source(alias: str, scale: float,
+            cache: SimulationCache | None) -> WorkloadSource:
+    """The provider's source for ``alias`` (its trace may come from the
+    store, so the sweep builds nothing), else a fresh build."""
+    if cache is not None:
+        return cache.source(alias)
+    return WorkloadSource.of(build_workload(BENCHMARKS[alias], scale=scale))
 
 
 def run_traversal_orders(alias: str = "TRu", scale: float = DEFAULT_SCALE,
@@ -64,9 +74,8 @@ def run_traversal_orders(alias: str = "TRu", scale: float = DEFAULT_SCALE,
 def run_tile_cache_split(alias: str = "Snp", scale: float = DEFAULT_SCALE,
                          cache: SimulationCache | None = None) -> ExperimentResult:
     """Primitive-List vs Attribute budget split at a fixed 64 KiB."""
-    workload = (cache.workload(alias) if cache
-                else build_workload(BENCHMARKS[alias], scale=scale))
-    base = _sim(workload, kind="baseline")
+    source = _source(alias, scale, cache)
+    base = _sim(source, kind="baseline")
     rows = []
     for pl_kib in (8, 16, 24, 32):
         attr_kib = 64 - pl_kib
@@ -75,7 +84,7 @@ def run_tile_cache_split(alias: str = "Snp", scale: float = DEFAULT_SCALE,
                                              pl_kib * KIB),
             attribute_buffer_bytes=attr_kib * KIB,
         )
-        tcor = _sim(workload, tcor=tcor_config)
+        tcor = _sim(source, tcor=tcor_config)
         rows.append([
             f"{pl_kib}+{attr_kib}",
             round(tcor.attr_read_hit_ratio, 3),
@@ -94,15 +103,14 @@ def run_tile_cache_split(alias: str = "Snp", scale: float = DEFAULT_SCALE,
 def run_l2_size(alias: str = "DDS", scale: float = DEFAULT_SCALE,
                 cache: SimulationCache | None = None) -> ExperimentResult:
     """Dead-line L2 effectiveness vs L2 capacity (PB-spill behaviour)."""
-    workload = (cache.workload(alias) if cache
-                else build_workload(BENCHMARKS[alias], scale=scale))
+    source = _source(alias, scale, cache)
     rows = []
     for l2_kib in (256, 512, 1024, 2048):
         gpu = replace(DEFAULT_GPU,
                       l2_cache=replace(DEFAULT_GPU.l2_cache,
                                        size_bytes=l2_kib * KIB))
-        base = _sim(workload, kind="baseline", gpu=gpu)
-        tcor = _sim(workload, gpu=gpu)
+        base = _sim(source, kind="baseline", gpu=gpu)
+        tcor = _sim(source, gpu=gpu)
         elimination = 100 * (1 - tcor.pb_mm_accesses
                              / max(1, base.pb_mm_accesses))
         rows.append([l2_kib, base.pb_mm_accesses, tcor.pb_mm_accesses,

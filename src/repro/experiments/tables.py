@@ -56,15 +56,15 @@ def run_table2(scale: float = DEFAULT_SCALE,
     rows = []
     for alias in cache.aliases:
         spec = BENCHMARKS[alias]
-        workload = cache.workload(alias)
+        profile = cache.profile(alias)
         rows.append([
             alias, spec.genre, "2D" if spec.is_2d else "3D",
             spec.installs_millions,
             spec.pb_footprint_mib,
-            round(workload.measured_footprint_mib() / scale, 2),
+            round(profile.footprint_bytes / MIB / scale, 2),
             spec.avg_reuse,
-            round(workload.measured_reuse(), 2),
-            workload.num_primitives,
+            round(profile.reuse, 2),
+            profile.num_primitives,
         ])
     return ExperimentResult(
         exp_id="table2",

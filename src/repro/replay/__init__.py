@@ -2,9 +2,12 @@
 
 ``compile_workload`` lowers a workload into a config-independent IR;
 ``replay_baseline`` / ``replay_tcor`` run the cache models over it
-bit-identically to the live simulator (which remains the reference
-oracle, gated by tests/test_replay_equivalence.py).  The engine choice
-itself lives in :func:`repro.api.run_simulation`: it replays unless
+bit-identically to the live simulator, and ``replay_fetch_timing`` does
+the same for the Tile Fetcher timing model (the live paths remain the
+reference oracles, gated by tests/test_replay_equivalence.py).  The
+engine choice itself lives in :mod:`repro.api`, one rule for
+:func:`~repro.api.run_simulation` and
+:func:`~repro.api.run_fetch_timing`: it replays unless
 :func:`replay_allowed` names a reason not to (a tracer is attached, the
 ``REPRO_NO_REPLAY`` escape hatch is set) or the kernels raise
 :class:`ReplayUnsupportedError` for a configuration outside what they
@@ -33,6 +36,7 @@ from repro.replay.kernels import (
     ReplayOutcome,
     ReplayUnsupportedError,
     replay_baseline,
+    replay_fetch_timing,
     replay_tcor,
 )
 
@@ -50,6 +54,7 @@ __all__ = [
     "observe_replay",
     "replay_allowed",
     "replay_baseline",
+    "replay_fetch_timing",
     "replay_tcor",
     "trace_ir_compatible",
 ]

@@ -1,9 +1,10 @@
 """Replay kernels: run cache models over the IR, bit-identically.
 
 Each kernel re-implements one live simulator path (``simulate_baseline``
-/ ``simulate_tcor``) as closure-based state machines over the compiled
-trace's flat arrays, with cache state held as per-set ``{tag: [dirty,
-region, rank, stamp]}`` maps.  The encoding choices are dictated by
+/ ``simulate_tcor``, and the Tile Fetcher timing model
+``tile_fetcher_throughput``) as closure-based state machines over the
+compiled trace's flat arrays, with cache state held as per-set ``{tag:
+[dirty, region, rank, stamp]}`` maps.  The encoding choices are dictated by
 bit-identity with the live path, which tests/test_replay_equivalence.py
 gates for every figure workload and policy:
 
@@ -29,6 +30,8 @@ authority of their own.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING
 
 from repro.caches.hierarchy import MemoryCounters
 from repro.caches.stats import CacheStats
@@ -45,6 +48,9 @@ from repro.replay.ir import (
     FETCH_PMD_READ,
     CompiledTrace,
 )
+
+if TYPE_CHECKING:
+    from repro.timing.tiling_timing import ThroughputResult
 
 _FB = int(Region.FRAMEBUFFER)
 
@@ -100,8 +106,9 @@ def _l2_engine(num_sets: int, ways: int, dead_policy: bool,
                completed: list):
     """State machine for SharedL2 / TcorSharedL2 over one run.
 
-    Returns ``(access, writeback_pb, mem_record, finalize)``.  Counter
-    layout ``n``: [reads, writes, read_misses, write_misses, writebacks,
+    Returns ``(access, writeback_pb, mem_record, finalize)``;
+    ``access`` returns whether the access missed.  Counter layout
+    ``n``: [reads, writes, read_misses, write_misses, writebacks,
     clean_evictions, dead_evictions, dead_writebacks_avoided].
     """
     sets: list = [dict() for _ in range(num_sets)]
@@ -137,7 +144,7 @@ def _l2_engine(num_sets: int, ways: int, dead_policy: bool,
                 line[2] = rank
             line[3] = tick[0]
             tick[0] += 1
-            return
+            return False
         if is_write:
             n[1] += 1
             n[3] += 1
@@ -195,6 +202,7 @@ def _l2_engine(num_sets: int, ways: int, dead_policy: bool,
                 mem_record(True, victim[1])
         lines[tag] = [1 if is_write else 0, region, rank, tick[0]]
         tick[0] += 1
+        return True
 
     def writeback_pb(use_dead: bool) -> None:
         """End-of-frame PB teardown (``_writeback_pb_lines``)."""
@@ -829,3 +837,169 @@ def _finalize(result: SystemResult, pbc: list, l2n: list, mem: list,
     result.l2_accesses = l2n[0] + l2n[1]
     result.l2_misses = l2n[2] + l2n[3]
     result.dead_writebacks_avoided = l2n[7]
+
+
+# ----------------------------------------------------------------------
+# Tile Fetcher timing
+# ----------------------------------------------------------------------
+def replay_fetch_timing(trace: CompiledTrace, system: str = "baseline",
+                        gpu: GPUConfig | None = None,
+                        tcor: TCORConfig | None = None,
+                        include_background: bool = True
+                        ) -> "ThroughputResult":
+    """Replay of :func:`repro.timing.tiling_timing.tile_fetcher_throughput`
+    (``gpu`` sizes the baseline's Tile Cache, ``tcor`` TCOR's split).
+
+    Frame 0 goes through the same cache engines as the traffic kernels:
+    the build phase untimed, then the fetch phase with the live model's
+    issue accounting on top.  Every L2 fill read an L1 makes costs the
+    L2 latency, plus the memory latency when the L2 missed; writebacks
+    are posted.  The MSHR file is a heap of ready cycles, because every
+    missing block takes an entry of its own (nothing merges).
+    """
+    # Imported here: the serve workers replay traffic only and never
+    # load the timing package.
+    from repro.timing.tiling_timing import INFLIGHT_WINDOW, ThroughputResult
+
+    if system not in ("baseline", "tcor"):
+        raise ValueError("system must be 'baseline' or 'tcor'")
+    gpu = gpu or DEFAULT_GPU
+    is_tcor = system == "tcor"
+    if is_tcor:
+        tcor = tcor or TCORConfig()
+        l1_config = tcor.primitive_list_cache
+    else:
+        l1_config = gpu.tile_cache
+    header = trace.header
+    _check_supported(header, gpu, (l1_config.line_bytes,))
+    mshr_entries = gpu.tiling.mshr_entries
+    if mshr_entries <= 0:
+        raise ValueError("MSHR file needs at least one entry")
+
+    completed = [-1]
+    l2_config = gpu.l2_cache
+    l2_access = _l2_engine(l2_config.num_sets, l2_config.associativity,
+                           is_tcor, completed)[0]
+    l2_latency = l2_config.latency_cycles
+    miss_latency = l2_latency + gpu.memory.avg_latency_cycles
+    latencies: list = []
+
+    def fill(tag, is_write, region, rank) -> None:
+        missed = l2_access(tag, is_write, region, rank)
+        if not is_write:
+            latencies.append(miss_latency if missed else l2_latency)
+
+    frame = trace.frames[0]
+    l1_access = _block_l1(l1_config.num_sets, l1_config.associativity,
+                          fill, [0, 0], [0] * 6, {}, pl=is_tcor)[0]
+    base_tags = frame.attr_tag_base(header)
+    if is_tcor:
+        pb_ways = tcor.primitive_buffer_associativity
+        pb_sets = max(1, tcor.primitive_buffer_entries // pb_ways)
+        attr_read, attr_write, _ = _attr_cache(
+            pb_sets, pb_ways, tcor.attribute_buffer_entries, INFLIGHT_WINDOW,
+            tcor.write_bypass,
+            frame.attr_sets(pb_sets, tcor.use_xor_indexing), base_tags,
+            frame.attr_count, fill, [0, 0], [0] * 8)
+    build_tags, build_ranks, fetch_tags, fetch_ranks = frame.pmd_views(
+        header, interleaved=is_tcor)
+
+    # Untimed binning phase: no background traffic, as in the live model.
+    bw_pid = frame.bw_pid
+    bw_nattr = frame.bw_nattr
+    bw_opt = frame.bw_opt
+    bw_last = frame.bw_last
+    pmd_index = attr_index = 0
+    for kind in frame.build_kind:
+        if kind == BUILD_PMD_WRITE:
+            l1_access(build_tags[pmd_index], True, 0, build_ranks[pmd_index])
+            pmd_index += 1
+            continue
+        if is_tcor:
+            attr_write(bw_pid[attr_index], bw_nattr[attr_index],
+                       bw_opt[attr_index], bw_last[attr_index])
+        else:
+            last = bw_last[attr_index]
+            base = base_tags[bw_pid[attr_index]]
+            for tag in range(base, base + bw_nattr[attr_index]):
+                l1_access(tag, True, 1, last)
+        attr_index += 1
+    latencies.clear()
+
+    # Timed fetch phase.
+    fr_pid = frame.fr_pid
+    fr_nattr = frame.fr_nattr
+    fr_opt = frame.fr_opt
+    fr_last = frame.fr_last
+    td_tile = frame.td_tile
+    td_rank = frame.td_rank
+    bg_t_tag = trace.bg_tile_tag
+    bg_t_reg = trace.bg_tile_reg
+    bg_t_wr = trace.bg_tile_wr
+    bg_t_off = trace.bg_tile_off
+    # List blocks are prefetched one block ahead, so a block's fetch
+    # overlaps half a block of PMDs; only the excess stalls issue.
+    overlap = header.pmds_per_block // 2
+    mshr: list = []
+    peak = 0
+    now = stall_cycles = delivered = last_delivery = 0
+    pmd_index = attr_index = done_index = 0
+    for kind in frame.fetch_kind:
+        if kind == FETCH_PMD_READ:
+            now += 1
+            l1_access(fetch_tags[pmd_index], False, 0, fetch_ranks[pmd_index])
+            pmd_index += 1
+            if latencies:
+                stall = max(latencies) - overlap
+                if stall > 0:
+                    now += stall
+                    stall_cycles += stall
+                latencies.clear()
+            while mshr and mshr[0] <= now:
+                heappop(mshr)
+        elif kind == FETCH_ATTR_READ:
+            pid = fr_pid[attr_index]
+            nattr = fr_nattr[attr_index]
+            last = fr_last[attr_index]
+            if is_tcor:
+                attr_read(pid, nattr, fr_opt[attr_index], last)
+            else:
+                base = base_tags[pid]
+                for tag in range(base, base + nattr):
+                    l1_access(tag, False, 1, last)
+            attr_index += 1
+            ready = now + 1
+            if latencies:
+                ready = now
+                for latency in latencies:
+                    while len(mshr) >= mshr_entries:
+                        earliest = mshr[0]
+                        if earliest > now:
+                            stall_cycles += earliest - now
+                            now = earliest
+                        while mshr and mshr[0] <= now:
+                            heappop(mshr)
+                    heappush(mshr, now + latency)
+                    if len(mshr) > peak:
+                        peak = len(mshr)
+                    if now + latency > ready:
+                        ready = now + latency
+                latencies.clear()
+            delivered += 1
+            last_delivery = max(ready, last_delivery + 1)
+            while mshr and mshr[0] <= now:
+                heappop(mshr)
+        else:
+            completed[0] = td_rank[done_index]
+            if include_background:
+                tile = td_tile[done_index]
+                for j in range(bg_t_off[tile], bg_t_off[tile + 1]):
+                    l2_access(bg_t_tag[j], bg_t_wr[j] == 1, bg_t_reg[j],
+                              None)
+            done_index += 1
+
+    return ThroughputResult(
+        label=system, alias=header.alias, primitives_delivered=delivered,
+        cycles=max(last_delivery, now, 1), issue_stall_cycles=stall_cycles,
+        mshr_peak=peak,
+    )

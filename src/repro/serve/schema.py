@@ -63,54 +63,6 @@ def versions_compatible(theirs: int, ours: int = SCHEMA_VERSION) -> bool:
     return abs(int(theirs) - int(ours)) <= VERSION_COMPAT_SPAN
 
 
-# Every JSON field each schema version declares, envelope and payloads
-# alike — the machine-readable contract behind ``versions_compatible``.
-# A handler (server.py / client.py / cluster.py) may only read or write
-# fields some version within the compat span declares, so adding a
-# field means declaring it here (under a new version when it ships
-# separately).  Nothing checks the handlers against this table.
-WIRE_FIELDS = {
-    1: (
-        # Request envelope and server reply envelope.
-        "op", "v", "id", "request", "wait", "timeout_s",
-        "ok", "error", "reused", "status", "result", "metrics",
-        # ServeError payloads.
-        "code", "message", "http_status",
-        # /healthz body (scheduler.counts() plus the server stamps).
-        "draining", "schema_version", "active", "pending", "inflight",
-        "states",
-        # JobRequest / SimulationConfig payloads.
-        "alias", "scale", "config", "priority",
-        "kind", "tile_cache_bytes", "l2_enhancements",
-        "interleaved_lists", "include_background", "tcor", "gpu",
-        # JobStatus / JobResult payloads.
-        "state", "lane", "attempts", "coalesced", "queued_for_s",
-        "running_for_s", "elapsed_s", "invariant_failures",
-    ),
-    2: (
-        # Cluster provenance (router-stamped) and the membership file.
-        "shard", "served_by",
-        "backends", "name", "address", "host", "port",
-    ),
-    3: (
-        # Animated sequences + Rendering Elimination (declared under a
-        # fresh version, still within the compat span of 2): the config
-        # flag, the JobRequest animation recipe and its AnimationSpec
-        # payload fields, and the sequence-affinity hint.
-        "rendering_elimination", "anim", "sequence",
-        "frames", "path", "amplitude", "dwell", "travel", "churn",
-        "jitter", "seed",
-    ),
-}
-
-
-def wire_fields(ours: int = SCHEMA_VERSION) -> frozenset:
-    """Fields readable/writable while speaking version ``ours``: the
-    union over every declared version within the compat span."""
-    return frozenset(
-        name for version, names in WIRE_FIELDS.items()
-        if versions_compatible(version, ours) for name in names)
-
 # Priority lanes, highest first: the batcher always prefers the head
 # of the "interactive" lane when choosing the next micro-batch.
 PRIORITIES = ("interactive", "batch")

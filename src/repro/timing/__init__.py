@@ -2,6 +2,7 @@
 
 from repro.timing.tiling_timing import (
     ThroughputResult,
+    TimingUnsupportedError,
     tile_fetcher_throughput,
 )
 from repro.timing.fps import FrameTimeEstimate, estimate_frame_time, fps_gain
@@ -15,6 +16,7 @@ __all__ = [
     "FrameTimeEstimate",
     "ParallelRenderingEstimate",
     "ThroughputResult",
+    "TimingUnsupportedError",
     "estimate_frame_time",
     "estimate_parallel_renderers",
     "fps_gain",

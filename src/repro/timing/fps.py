@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.config import DEFAULT_GPU, GPUConfig
 from repro.tcor.system import SystemResult
-from repro.workloads.suite import Workload
+from repro.workloads.suite import Workload, WorkloadProfile
 
 # Unhidden stall cycles per access (latency x non-overlapped fraction).
 _DRAM_STALL_CYCLES = 9.0
@@ -52,8 +52,10 @@ class FrameTimeEstimate:
 
 
 def estimate_frame_time(result: SystemResult,
-                        workload: Workload) -> FrameTimeEstimate:
-    """Frame time from a traffic simulation's access counts."""
+                        workload: Workload | WorkloadProfile
+                        ) -> FrameTimeEstimate:
+    """Frame time from a traffic simulation's access counts (``workload``
+    is the built workload or its :class:`WorkloadProfile`)."""
     spec = workload.spec
     pixels = (workload.screen.width * workload.screen.height
               * workload.scale)
@@ -69,7 +71,7 @@ def estimate_frame_time(result: SystemResult,
 
 
 def fps_gain(baseline: SystemResult, tcor: SystemResult,
-             workload: Workload) -> float:
+             workload: Workload | WorkloadProfile) -> float:
     """Fractional FPS increase of TCOR over the baseline (0.037 = 3.7%)."""
     base_time = estimate_frame_time(baseline, workload).total_cycles
     tcor_time = estimate_frame_time(tcor, workload).total_cycles

@@ -17,6 +17,11 @@ pipeline:
 
 The binning phase is replayed untimed first, leaving the caches and the
 shared L2 in the same state as the traffic simulation.
+
+This event-by-event model over the live cache objects is the reference
+oracle: :func:`repro.replay.replay_fetch_timing` computes the same
+:class:`ThroughputResult` from the compiled trace, and
+:func:`repro.api.run_fetch_timing` chooses between the two.
 """
 
 from __future__ import annotations
@@ -45,6 +50,17 @@ from repro.tiling.events import (
     TileDone,
 )
 from repro.workloads.suite import Workload
+
+
+# Unlimited output queue: the Rasterizer never back-pressures, so the
+# Attribute Cache's in-flight lock window is effectively unbounded.
+INFLIGHT_WINDOW = 1 << 20
+
+
+class TimingUnsupportedError(ValueError):
+    """The timing model has no form of a requested option (the L2
+    enhancements switched off, contiguous TCOR lists, Rendering
+    Elimination), so it refuses instead of ignoring it."""
 
 
 @dataclass(frozen=True)
@@ -100,11 +116,6 @@ class _LatencyProbe:
         return latencies
 
 
-def _drain_mshr(mshr: MSHRFile, now: int) -> int:
-    mshr.retire_ready(now)
-    return now
-
-
 def tile_fetcher_throughput(workload: Workload, system: str = "baseline",
                             gpu: GPUConfig | None = None,
                             tcor: TCORConfig | None = None,
@@ -152,10 +163,8 @@ def tile_fetcher_throughput(workload: Workload, system: str = "baseline",
                                           pb.pbuffer)
         pl_cache = PrimitiveListCache(tcor.primitive_list_cache, layout,
                                       pb.rank_of_tile)
-        # Unlimited output queue: the Rasterizer never back-pressures, so
-        # the in-flight lock window is effectively unbounded.
         attr_cache = AttributeCache(tcor, pb.attributes,
-                                    inflight_window=1 << 20)
+                                    inflight_window=INFLIGHT_WINDOW)
         read_pmd = pl_cache.read_pmd
         write_pmd = pl_cache.write_pmd
 
@@ -182,6 +191,7 @@ def tile_fetcher_throughput(workload: Workload, system: str = "baseline",
     # Timed fetch phase.
     # ------------------------------------------------------------------
     mshr = MSHRFile(gpu.tiling.mshr_entries)
+    tokens = 0
     now = 0
     stall_cycles = 0
     delivered = 0
@@ -206,7 +216,7 @@ def tile_fetcher_throughput(workload: Workload, system: str = "baseline",
                 stall = max(0, max(latencies) - pb.pbuffer.pmds_per_block // 2)
                 now += stall
                 stall_cycles += stall
-            _drain_mshr(mshr, now)
+            mshr.retire_ready(now)
             continue
         assert isinstance(event, AttributeRead)
         if system == "baseline":
@@ -229,11 +239,13 @@ def tile_fetcher_throughput(workload: Workload, system: str = "baseline",
                     stall_cycles += max(0, earliest - now)
                     now = max(now, earliest)
                     mshr.retire_ready(now)
-                mshr.allocate(_fresh_token(), now + latency)
+                # Unique keys: each missing block is independent.
+                tokens += 1
+                mshr.allocate(tokens, now + latency)
                 ready = max(ready, now + latency)
         delivered += 1
         last_delivery = max(ready, last_delivery + 1)
-        _drain_mshr(mshr, now)
+        mshr.retire_ready(now)
 
     cycles = max(last_delivery, now, 1)
     return ThroughputResult(
@@ -241,13 +253,3 @@ def tile_fetcher_throughput(workload: Workload, system: str = "baseline",
         primitives_delivered=delivered, cycles=cycles,
         issue_stall_cycles=stall_cycles, mshr_peak=mshr.peak_occupancy,
     )
-
-
-_token_counter = 0
-
-
-def _fresh_token() -> int:
-    """Unique MSHR keys: timing treats each missing block independently."""
-    global _token_counter
-    _token_counter += 1
-    return _token_counter

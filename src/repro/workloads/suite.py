@@ -115,11 +115,82 @@ class Workload:
     def num_primitives(self) -> int:
         return len(self.scenes[0]) if self.scenes else 0
 
+    @property
+    def num_frames(self) -> int:
+        return len(self.traces)
+
     def measured_reuse(self) -> float:
         return self.scenes[0].average_reuse()
 
     def measured_footprint_mib(self) -> float:
         return self.traces[0].pb.footprint_bytes() / MIB
+
+
+@dataclass(frozen=True)
+class WorkloadProfile:
+    """What experiments read of a workload besides its simulations.
+
+    Energy and frame-time models read ``spec``, ``screen``, ``scale``,
+    ``num_primitives`` and ``num_frames``, as they read a
+    :class:`Workload`; Table II reads the measured Parameter Buffer
+    footprint and reuse, and the miss-curve sweeps read frame 0's
+    Attribute Cache stream (binning-order writes, then traversal-order
+    reads, by primitive id) with the mean attribute count.
+
+    :meth:`from_trace` derives them from a compiled trace, so a caller
+    holding a stored trace needs no build; :meth:`of` is the reference
+    derivation from a built workload's scenes and Parameter Buffer.
+    """
+
+    spec: BenchmarkSpec
+    screen: ScreenConfig
+    scale: float
+    num_primitives: int
+    num_frames: int
+    footprint_bytes: int
+    reuse: float
+    mean_attributes: float
+    attribute_stream: list[int] = field(repr=False)
+
+    @classmethod
+    def of(cls, workload: Workload) -> "WorkloadProfile":
+        from repro.analysis.miss_curves import attribute_access_trace
+
+        return cls(
+            spec=workload.spec, screen=workload.screen,
+            scale=workload.scale, num_primitives=workload.num_primitives,
+            num_frames=workload.num_frames,
+            footprint_bytes=workload.traces[0].pb.footprint_bytes(),
+            reuse=workload.measured_reuse(),
+            mean_attributes=workload.scenes[0].average_attributes(),
+            attribute_stream=attribute_access_trace(workload),
+        )
+
+    @classmethod
+    def from_trace(cls, trace, spec: BenchmarkSpec, screen: ScreenConfig,
+                   scale: float) -> "WorkloadProfile":
+        """The same values from a :class:`~repro.replay.CompiledTrace`.
+
+        Frame 0's build stream holds one attribute write per binned
+        primitive and one PMD write per (tile, primitive) pair, so the
+        footprint is ``sum(bw_nattr) * stride + len(bp_tile) * pmd``
+        and the reuse ``len(bp_tile) / len(bw_pid)``; ``attr_count``
+        lists every primitive's attribute count, binned or not.
+        """
+        header = trace.header
+        frame = trace.frames[0]
+        written = frame.bw_pid
+        counts = frame.attr_count
+        return cls(
+            spec=spec, screen=screen, scale=scale,
+            num_primitives=header.num_primitives,
+            num_frames=len(trace.frames),
+            footprint_bytes=(sum(frame.bw_nattr) * header.attribute_stride
+                             + len(frame.bp_tile) * header.pmd_bytes),
+            reuse=len(frame.bp_tile) / len(written) if written else 0.0,
+            mean_attributes=sum(counts) / len(counts) if counts else 0.0,
+            attribute_stream=written + frame.fr_pid,
+        )
 
 
 @dataclass(frozen=True)
@@ -137,6 +208,11 @@ class WorkloadIdentity:
     @classmethod
     def of(cls, workload: Workload) -> "WorkloadIdentity":
         return cls(workload.spec, workload.scale, workload.anim)
+
+    @property
+    def screen(self) -> ScreenConfig:
+        """The screen :meth:`build` renders to (Table I's)."""
+        return DEFAULT_GPU.screen
 
     def build(self) -> Workload:
         if self.anim is None:

@@ -5,7 +5,8 @@ and serve's ``simulate_request_batch`` all reach the engines through
 ``repro.api.run_simulation``.  The contract is checked on one small
 benchmark for the suite configs, an animated Rendering Elimination
 request and a custom GPU the replay kernels refuse, under the default
-engine and under ``REPRO_NO_REPLAY=1``.
+engine and under ``REPRO_NO_REPLAY=1``; so is the providers' Tile
+Fetcher throughput against the live timing model.
 """
 
 from __future__ import annotations
@@ -79,6 +80,35 @@ def test_animated_re_request_matches_across_entry_points(engine_env):
     assert direct.tiles_total > 0
     assert api.run_simulation(WorkloadSource(identity), RE) == direct
     assert served([RE], anim=ANIM) == [direct]
+
+
+class _NoWire:
+    """A serve client that fails any call: a provider computing fetch
+    throughput locally never makes one."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"fetch throughput went over the wire "
+                             f"({name})")
+
+
+def test_providers_compute_fetch_throughput_locally(engine_env):
+    from repro.obs.registry import MetricsRegistry
+    from repro.serve.handle import ServeHandle
+    from repro.timing import tile_fetcher_throughput
+
+    workload = suite.build_workload(BENCHMARKS[ALIAS], scale=SCALE)
+    kinds = ("baseline", "tcor")
+    direct = [tile_fetcher_throughput(workload, kind,
+                                      total_tile_cache_bytes=SIZE)
+              for kind in kinds]
+    for provider in (SimulationCache(scale=SCALE, aliases=(ALIAS,)),
+                     ServeHandle(_NoWire(), scale=SCALE, aliases=(ALIAS,))):
+        assert [provider.fetch_throughput(ALIAS, kind, SIZE)
+                for kind in kinds] == direct
+        # Memoized per cell, and not exported as a sim.* result.
+        assert provider.fetch_throughput(ALIAS, "tcor", SIZE) \
+            is provider.fetch_throughput(ALIAS, "tcor", SIZE)
+        assert provider.export_metrics(MetricsRegistry()) == 0
 
 
 def test_the_custom_gpu_is_outside_the_replay_envelope():

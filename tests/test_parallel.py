@@ -10,6 +10,7 @@ signature) invalidates the store.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +96,52 @@ class TestParallelSerialEquivalence:
         cache = ParallelSimulationCache(scale=SCALE, aliases=("GTr",), jobs=2)
         assert cache.prefetch(["fig14"]) == 4
         assert cache.prefetch(["fig14"]) == 0
+
+    def test_figures_parent_builds_no_workload(self, tmp_path, monkeypatch):
+        """tcorbench's figures-cold regeneration (its experiments, two
+        benchmarks, scale 0.2, two workers, a store): once prefetch has
+        returned, the parent reads the workers' traces from the store
+        and builds nothing, and every table and simulation equals the
+        committed expectation."""
+        from repro.experiments import driver
+        from repro.obs.diff import diff_metrics
+        from repro.obs.registry import MetricsRegistry
+        from repro.workloads import suite
+
+        names = ["tables", "headline", "fig10", "fig11", "fig14", "fig16",
+                 "fig18", "fig20", "fig22"]
+        aliases = ("SoD", "GTr")
+        prefetch = ParallelSimulationCache.prefetch
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the experiment parent built a workload")
+
+        def prefetch_then_forbid_builds(self, names=None):
+            simulated = prefetch(self, names)
+            monkeypatch.setattr(suite, "build_workload", no_build)
+            return simulated
+
+        monkeypatch.setattr(ParallelSimulationCache, "prefetch",
+                            prefetch_then_forbid_builds)
+        registry = MetricsRegistry()
+        driver.run_experiments(names, scale=0.2, aliases=aliases, jobs=2,
+                               disk=DiskCache(tmp_path), registry=registry)
+        assert suite.build_workload is no_build
+
+        root = Path(__file__).resolve().parent.parent
+        expected = json.loads(
+            (root / "tcorbench" / "expected.json").read_text()
+        )["figures_tables"]
+        golden = json.loads(
+            (root / "BASELINE_METRICS.json").read_text())["metrics"]
+        expected.update({name: value for name, value in golden.items()
+                         if name.startswith("sim.")
+                         and name.split(".")[2] in aliases})
+        current = registry.snapshot()
+        report = diff_metrics(expected, current)
+        assert report.clean, report.describe()
+        assert not [name for name in report.added
+                    if name.startswith(("table.", "sim."))]
 
 
 def compile_trace(identity):

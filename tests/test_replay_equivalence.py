@@ -1,5 +1,5 @@
 """Replay gate: compiled-trace kernels are bit-identical to the live
-simulator.
+simulator and to the live Tile Fetcher timing model.
 
 The acceptance bar for the replay engine (the same bar PR 2 set for
 hot-path tuning): for every Table II benchmark and every memory
@@ -14,12 +14,18 @@ figure.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 import random
 
 import pytest
 
-from repro.api import SimulationConfig, WorkloadSource, simulate
+from repro.api import (
+    SimulationConfig,
+    WorkloadSource,
+    run_fetch_timing,
+    simulate,
+)
 from repro.config import KIB, TCORConfig
 from repro.obs.registry import MetricsRegistry, Observation
 from repro.replay import (
@@ -258,3 +264,181 @@ class TestReplayGates:
             simulate(workload, config, engine="replay")
         assert simulate(workload, config).result == \
             simulate(workload, config, engine="live").result
+
+
+# ----------------------------------------------------------------------
+# Tile Fetcher timing: the fetch kernel against the live timing model
+# ----------------------------------------------------------------------
+FETCH_SIZES = (64 * KIB, 128 * KIB)
+
+
+def _fetch_configs(size: int, **options) -> tuple:
+    return tuple(SimulationConfig(kind=kind, tile_cache_bytes=size,
+                                  **options)
+                 for kind in ("baseline", "tcor"))
+
+
+@functools.cache
+def _suite_source(alias: str) -> WorkloadSource:
+    """One build per benchmark, shared by the fetch and profile
+    gates (the ten sources with their traces hold about 70 MB)."""
+    return WorkloadSource.of(
+        build_workload(BENCHMARKS[alias], scale=EQUIVALENCE_SCALE))
+
+
+@pytest.mark.parametrize("alias", BENCHMARK_ORDER)
+def test_fetch_timing_bit_identical(alias):
+    source = _suite_source(alias)
+    for size in FETCH_SIZES:
+        for config in _fetch_configs(size):
+            live = run_fetch_timing(source, config, engine="live")
+            replayed = run_fetch_timing(source, config, engine="replay")
+            _assert_results_equal(f"{alias}@{size}", live, replayed)
+
+
+class _OneTrace:
+    """A store that holds one compiled trace."""
+
+    def __init__(self, trace) -> None:
+        self.trace = trace
+
+    def get_trace(self, identity):
+        return self.trace
+
+
+@pytest.mark.parametrize("alias", BENCHMARK_ORDER)
+def test_trace_profile_equals_the_built_workload(alias, monkeypatch):
+    """What experiments read of a workload, derived from its compiled
+    trace, equals the built workload's own derivation exactly."""
+    from repro.analysis import attribute_access_trace
+    from repro.workloads import suite
+
+    workload = _suite_source(alias).workload()
+    store = _OneTrace(_suite_source(alias).trace())
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the profile built a workload")
+
+    monkeypatch.setattr(suite, "build_workload", no_build)
+    profile = WorkloadSource(suite.WorkloadIdentity.of(workload),
+                             store=store).profile()
+    assert profile.footprint_bytes / suite.MIB == \
+        workload.measured_footprint_mib()
+    assert profile.reuse == workload.measured_reuse()
+    assert profile.num_primitives == workload.num_primitives
+    assert profile.mean_attributes == workload.scenes[0].average_attributes()
+    assert profile.attribute_stream == attribute_access_trace(workload)
+    assert profile.num_frames == len(workload.traces)
+    assert profile == suite.WorkloadProfile.of(workload)
+
+
+class TestFetchTimingMatrix:
+    """A seeded matrix around the defaults: tiny MSHR files that fill,
+    short and long memory latencies (background traffic off with the
+    long one) and a non-default TCOR split."""
+
+    def test_seeded_matrix(self):
+        from repro.config import DEFAULT_GPU, CacheConfig
+
+        rng = random.Random(0xF37C)
+        filled = 0
+        for alias in rng.sample(BENCHMARK_ORDER, 3):
+            source = WorkloadSource.of(
+                build_workload(BENCHMARKS[alias], scale=0.05))
+            for mshr_entries in (1, 2):
+                for latency in (30, 240):
+                    gpu = dataclasses.replace(
+                        DEFAULT_GPU,
+                        tiling=dataclasses.replace(
+                            DEFAULT_GPU.tiling, mshr_entries=mshr_entries),
+                        memory=dataclasses.replace(
+                            DEFAULT_GPU.memory, min_latency_cycles=latency,
+                            max_latency_cycles=latency))
+                    pl_kib = rng.choice((8, 24, 32))
+                    split = TCORConfig(
+                        primitive_list_cache=CacheConfig(
+                            "primitive_list", pl_kib * KIB),
+                        attribute_buffer_bytes=(64 - pl_kib) * KIB)
+                    background = latency == 30
+                    configs = _fetch_configs(
+                        rng.choice(FETCH_SIZES), gpu=gpu,
+                        include_background=background) + (
+                        SimulationConfig(kind="tcor", tcor=split, gpu=gpu,
+                                         include_background=background),)
+                    for config in configs:
+                        live = run_fetch_timing(source, config,
+                                                engine="live")
+                        replayed = run_fetch_timing(source, config,
+                                                    engine="replay")
+                        _assert_results_equal(
+                            f"{alias} mshr={mshr_entries} "
+                            f"latency={latency}", live, replayed)
+                        filled += live.mshr_peak == mshr_entries
+        # The MSHR-full stall path must be exercised, not just reachable.
+        assert filled
+
+
+class TestFetchTimingGates:
+    """The fetch kernel follows run_simulation's engine rule, and the
+    options the timing model does not model are refused, not ignored."""
+
+    def test_forced_replay_refuses_outside_the_envelope(self):
+        from repro.config import DEFAULT_GPU
+
+        source = WorkloadSource.of(
+            build_workload(BENCHMARKS["GTr"], scale=0.05))
+        wide = dataclasses.replace(
+            DEFAULT_GPU,
+            l2_cache=dataclasses.replace(DEFAULT_GPU.l2_cache,
+                                         line_bytes=128))
+        for config in _fetch_configs(TILE_CACHE_BYTES, gpu=wide):
+            with pytest.raises(ReplayUnsupportedError):
+                run_fetch_timing(source, config, engine="replay")
+            assert run_fetch_timing(source, config) == \
+                run_fetch_timing(source, config, engine="live")
+
+    def test_env_escape_hatch_forces_live(self, monkeypatch):
+        from repro.replay import kernels
+
+        source = WorkloadSource.of(
+            build_workload(BENCHMARKS["GTr"], scale=0.05))
+        config = SimulationConfig(kind="tcor")
+        monkeypatch.setenv("REPRO_NO_REPLAY", "1")
+        with pytest.raises(ReplayUnsupportedError):
+            run_fetch_timing(source, config, engine="replay")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kernel ran under REPRO_NO_REPLAY")
+
+        monkeypatch.setattr(kernels, "replay_fetch_timing", refuse)
+        assert run_fetch_timing(source, config).label == "tcor"
+
+    @pytest.mark.parametrize("engine", ["live", "replay"])
+    def test_an_empty_mshr_file_is_refused(self, engine):
+        from repro.config import DEFAULT_GPU
+
+        source = WorkloadSource.of(
+            build_workload(BENCHMARKS["GTr"], scale=0.05))
+        gpu = dataclasses.replace(
+            DEFAULT_GPU,
+            tiling=dataclasses.replace(DEFAULT_GPU.tiling, mshr_entries=0))
+        with pytest.raises(ValueError, match="MSHR"):
+            run_fetch_timing(source, SimulationConfig(kind="baseline",
+                                                      gpu=gpu),
+                             engine=engine)
+
+    @pytest.mark.parametrize("engine", ["auto", "live", "replay"])
+    @pytest.mark.parametrize("option", [
+        {"kind": "tcor", "l2_enhancements": False},
+        {"kind": "tcor", "interleaved_lists": False},
+        {"kind": "tcor", "rendering_elimination": True},
+        {"kind": "baseline", "rendering_elimination": True},
+    ], ids=["no-l2", "contiguous", "re-tcor", "re-baseline"])
+    def test_unmodelled_options_raise(self, engine, option):
+        from repro.timing import TimingUnsupportedError
+
+        source = WorkloadSource.of(
+            build_workload(BENCHMARKS["GTr"], scale=0.05))
+        with pytest.raises(TimingUnsupportedError):
+            run_fetch_timing(source, SimulationConfig(**option),
+                             engine=engine)

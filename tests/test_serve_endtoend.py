@@ -212,6 +212,56 @@ def resp_status_ok(health):
     return health["ok"] is True
 
 
+class SlowStore(DiskCache):
+    """A result store whose every write takes about 0.3 s, so that the
+    write-throughs of back-to-back batches overlap."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.writes = 0
+
+    def put_result(self, identity, config, result) -> None:
+        time.sleep(0.3)
+        super().put_result(identity, config, result)
+        self.writes += 1
+
+
+class TestInflightGauge:
+    def test_overlapping_write_throughs_return_inflight_to_zero(
+            self, tmp_path):
+        """A job finishes before its batch's write-through does, so the
+        next batch is dispatched while the first write is still in
+        flight; once both writes are done, the in-flight count must be
+        0 on both surfaces (a lost update leaves -1 or 1)."""
+        store = SlowStore(tmp_path, signature=simulation_code_signature())
+        with InProcessServer(jobs=2, disk=store,
+                             batch_window_s=0.02) as server:
+            base = f"http://{server.host}:{server.port}"
+            with server.client() as client:
+                first = client.run(JobRequest(alias="GTr", scale=SCALE),
+                                   timeout_s=300)
+                second = client.run(JobRequest(alias="CCS", scale=SCALE),
+                                    timeout_s=300)
+            assert first.state == second.state == schema.DONE
+            deadline = time.monotonic() + 30
+            while store.writes < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert store.writes == 2
+            deadline = time.monotonic() + 5
+            while True:
+                with urllib.request.urlopen(f"{base}/healthz") as resp:
+                    inflight = json.load(resp)["inflight"]
+                with urllib.request.urlopen(f"{base}/metrics") as resp:
+                    gauge = parse_prometheus_text(
+                        resp.read().decode())["serve.inflight"]
+                if (inflight, gauge) == (0, 0) \
+                        or time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
+        assert inflight == 0
+        assert gauge == 0
+
+
 class TestGracefulShutdown:
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
         """The full CLI contract: submit work, SIGTERM mid-flight, the
