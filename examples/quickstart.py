@@ -13,9 +13,13 @@ Run:
 
 import sys
 
-from repro.api import SimulationConfig, simulate
+from repro.api import (
+    SimulationConfig,
+    WorkloadSource,
+    run_fetch_timing,
+    simulate,
+)
 from repro.energy import gpu_energy
-from repro.timing import tile_fetcher_throughput
 from repro.workloads import BENCHMARKS, build_workload
 
 
@@ -28,8 +32,9 @@ def main() -> None:
           f"measured reuse {workload.measured_reuse():.2f} "
           f"(published: {spec.avg_reuse})")
 
-    base_run = simulate(workload, SimulationConfig(kind="baseline"))
-    tcor_run = simulate(workload, SimulationConfig(kind="tcor"))
+    source = WorkloadSource.of(workload)
+    base_run = simulate(source, SimulationConfig(kind="baseline"))
+    tcor_run = simulate(source, SimulationConfig(kind="tcor"))
     assert base_run.ok and tcor_run.ok, "conservation invariants violated"
     baseline, tcor = base_run.result, tcor_run.result
 
@@ -60,8 +65,8 @@ def main() -> None:
           f"({decrease(base_energy.total_gpu_nj, tcor_energy.total_gpu_nj)})")
 
     print("\n--- Tiling Engine throughput --------------------------------")
-    base_ppc = tile_fetcher_throughput(workload, "baseline")
-    tcor_ppc = tile_fetcher_throughput(workload, "tcor")
+    base_ppc = run_fetch_timing(source, SimulationConfig(kind="baseline"))
+    tcor_ppc = run_fetch_timing(source, SimulationConfig(kind="tcor"))
     speedup = (tcor_ppc.primitives_per_cycle
                / max(1e-9, base_ppc.primitives_per_cycle))
     print(f"Primitives/cycle    : baseline {base_ppc.primitives_per_cycle:.3f}  "

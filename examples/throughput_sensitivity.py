@@ -15,8 +15,8 @@ Run:
 import sys
 from dataclasses import replace
 
+from repro.api import SimulationConfig, WorkloadSource, run_fetch_timing
 from repro.config import DEFAULT_GPU
-from repro.timing import tile_fetcher_throughput
 from repro.workloads import BENCHMARKS, build_workload
 
 
@@ -24,8 +24,12 @@ def main() -> None:
     alias = sys.argv[1] if len(sys.argv) > 1 else "TRu"
     scale = float(sys.argv[2]) if len(sys.argv) > 2 else 0.2
     workload = build_workload(BENCHMARKS[alias], scale=scale)
+    source = WorkloadSource.of(workload)
     print(f"{alias} at scale {scale}: "
           f"{workload.traces[0].num_primitive_reads} primitive reads\n")
+
+    def throughput(kind, gpu):
+        return run_fetch_timing(source, SimulationConfig(kind=kind, gpu=gpu))
 
     print("== MSHR sweep (memory latency 50-100 cycles) ==")
     print(f"{'mshrs':>6} {'baseline ppc':>13} {'tcor ppc':>9} {'speedup':>8}")
@@ -33,8 +37,8 @@ def main() -> None:
         gpu = replace(DEFAULT_GPU,
                       tiling=replace(DEFAULT_GPU.tiling,
                                      mshr_entries=entries))
-        base = tile_fetcher_throughput(workload, "baseline", gpu=gpu)
-        tcor = tile_fetcher_throughput(workload, "tcor", gpu=gpu)
+        base = throughput("baseline", gpu)
+        tcor = throughput("tcor", gpu)
         print(f"{entries:>6} {base.primitives_per_cycle:>13.3f} "
               f"{tcor.primitives_per_cycle:>9.3f} "
               f"{tcor.primitives_per_cycle / max(1e-9, base.primitives_per_cycle):>7.1f}x")
@@ -46,8 +50,8 @@ def main() -> None:
                       memory=replace(DEFAULT_GPU.memory,
                                      min_latency_cycles=latency,
                                      max_latency_cycles=latency))
-        base = tile_fetcher_throughput(workload, "baseline", gpu=gpu)
-        tcor = tile_fetcher_throughput(workload, "tcor", gpu=gpu)
+        base = throughput("baseline", gpu)
+        tcor = throughput("tcor", gpu)
         print(f"{latency:>8} {base.primitives_per_cycle:>13.3f} "
               f"{tcor.primitives_per_cycle:>9.3f} "
               f"{tcor.primitives_per_cycle / max(1e-9, base.primitives_per_cycle):>7.1f}x")

@@ -11,10 +11,15 @@ gates for every figure workload and policy:
 - **Insertion-ordered per-set dicts** (not flat set*ways+way arrays)
   reproduce the live cache's victim tie-breaking exactly: LRU == the
   minimum insertion/hit stamp, the dead-line policy == the minimum
-  ``(priority, stamp)`` pair, and the OPT victim scan is first-maximum
-  over insertion order — all of which depend on residency order.
+  ``(priority, stamp)`` pair, and the Attribute Cache's in-set OPT
+  victim is the first maximum in insertion order — all of which depend
+  on residency order.
 - A single **monotonic stamp** replaces the recency ``OrderedDict``s
   (hit == restamp, insert == new stamp).
+- The Attribute Cache's **space victim** (the first maximum over every
+  set, in set-then-insertion order) comes from a lazily pruned min-heap
+  keyed ``(-effective OPT, set, insertion stamp)``, not a scan of every
+  line; see :func:`_attr_cache`.
 - The Attribute Buffer reduces to a **free-entry count**: chains are
   only ever allocated and freed whole, and victims are by construction
   unlocked, so the linked free list never affects the outcome.
@@ -30,7 +35,7 @@ authority of their own.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING
 
 from repro.caches.hierarchy import MemoryCounters
@@ -334,7 +339,22 @@ def _attr_cache(num_sets: int, ways: int, ab_entries: int, window: int,
                 write_bypass: bool, set_of: list, base_tags: list,
                 counts: list, l2_access, pbc: list, an: list):
     """One frame's Primitive Buffer + Attribute Buffer with OPT
-    replacement.  Line layout: [nattr, opt, last_rank, dirty, locks].
+    replacement.  Line layout: [nattr, opt, last_rank, dirty, locks,
+    stamp]; ``stamp`` numbers insertions, so within a set it follows
+    the dict's residency order.
+
+    The space victim is the unlocked line with the greatest effective
+    OPT Number, the first in set-then-insertion order among equals (the
+    live scan's tie-break).  ``victims`` indexes it as a min-heap of
+    ``(-effective OPT, set, stamp, pid)`` entries, maintained lazily.
+    It is built from the unlocked lines at the frame's first space
+    eviction.  From then on an entry is pushed whenever a line becomes
+    unlocked (a write inserts it unlocked, or its last lock is
+    released), and an entry is dropped once it reaches the top stale:
+    the line was evicted, re-inserted under a new stamp, locked again or
+    given a new OPT Number.  Only a read hit changes a line's OPT
+    Number, and it locks the line, so once the heap is built every
+    unlocked line has an entry carrying its current key.
 
     Counter layout ``an``: [reads, read_misses, writes, write_bypasses,
     evictions, dirty_evictions, forced_unlocks, space_evictions].
@@ -342,6 +362,9 @@ def _attr_cache(num_sets: int, ways: int, ab_entries: int, window: int,
     sets: list = [dict() for _ in range(num_sets)]
     free = [ab_entries]
     inflight: deque = deque()
+    victims: list = []
+    indexed = [False]
+    tick = [0]
 
     def effective_opt(line) -> int:
         opt = line[1]
@@ -349,9 +372,13 @@ def _attr_cache(num_sets: int, ways: int, ab_entries: int, window: int,
 
     def consume_oldest() -> None:
         pid = inflight.popleft()
-        line = sets[set_of[pid]].get(pid)
+        set_index = set_of[pid]
+        line = sets[set_index].get(pid)
         if line is not None and line[4] > 0:
             line[4] -= 1
+            if not line[4] and indexed[0]:
+                heappush(victims,
+                         (-effective_opt(line), set_index, line[5], pid))
 
     def lock(line, pid) -> None:
         line[4] += 1
@@ -387,17 +414,22 @@ def _attr_cache(num_sets: int, ways: int, ab_entries: int, window: int,
         return best_pid
 
     def global_victim():
-        best_pid = None
-        best_opt = -1
-        for lines in sets:
-            for pid, line in lines.items():
-                if line[4]:
-                    continue
-                opt = effective_opt(line)
-                if best_pid is None or opt > best_opt:
-                    best_opt = opt
-                    best_pid = pid
-        return best_pid
+        if not indexed[0]:
+            # Indexed from the frame's first space eviction on, so a
+            # frame that never runs out of space pushes nothing.
+            indexed[0] = True
+            victims.extend((-effective_opt(line), set_index, line[5], pid)
+                           for set_index, lines in enumerate(sets)
+                           for pid, line in lines.items() if not line[4])
+            heapify(victims)
+        while victims:
+            neg_opt, set_index, stamp, pid = victims[0]
+            line = sets[set_index].get(pid)
+            if (line is not None and line[5] == stamp and not line[4]
+                    and effective_opt(line) == -neg_opt):
+                return pid
+            heappop(victims)
+        return None
 
     def read(pid, nattr, opt, last) -> bool:
         an[0] += 1
@@ -425,7 +457,8 @@ def _attr_cache(num_sets: int, ways: int, ab_entries: int, window: int,
             an[7] += 1
             evict(victim)
         free[0] -= nattr
-        line = [nattr, opt, last, 0, 0]
+        line = [nattr, opt, last, 0, 0, tick[0]]
+        tick[0] += 1
         lines[pid] = line
         lock(line, pid)
         base = base_tags[pid]
@@ -436,9 +469,10 @@ def _attr_cache(num_sets: int, ways: int, ab_entries: int, window: int,
 
     def write(pid, nattr, opt, last) -> None:
         an[2] += 1
-        lines = sets[set_of[pid]]
+        set_index = set_of[pid]
+        lines = sets[set_index]
         if len(lines) >= ways:
-            victim = victim_in_set(set_of[pid])
+            victim = victim_in_set(set_index)
             if victim is None:
                 an[3] += 1
                 emit_writes(pid, last)
@@ -466,7 +500,11 @@ def _attr_cache(num_sets: int, ways: int, ab_entries: int, window: int,
             an[7] += 1
             evict(victim)
         free[0] -= nattr
-        lines[pid] = [nattr, opt, last, 1, 0]
+        line = lines[pid] = [nattr, opt, last, 1, 0, tick[0]]
+        tick[0] += 1
+        if indexed[0]:
+            heappush(victims,
+                     (-effective_opt(line), set_index, line[5], pid))
 
     def flush() -> None:
         while inflight:

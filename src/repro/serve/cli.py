@@ -80,7 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="admission limit on live jobs (429 beyond)")
     parser.add_argument("--batch-window", type=float,
                         default=DEFAULT_BATCH_WINDOW_S, metavar="S",
-                        help="micro-batching window in seconds")
+                        help="micro-batching window in seconds; with "
+                             "the disk cache, waited only while every "
+                             "worker is busy")
     parser.add_argument("--batch-max", type=int, default=DEFAULT_BATCH_MAX,
                         help="max jobs per micro-batch")
     parser.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S,

@@ -11,7 +11,14 @@ foresight buys:
 - **micro-batching** — compatible jobs (same benchmark alias, scale
   and animation) are grouped into one pool call so the compiled trace
   is found once per batch, exactly like the parallel engine's
-  per-alias fan-out;
+  per-alias fan-out.  With a disk store, the batch window is waited
+  only while every worker has a pool call in flight: a request that
+  finds a worker idle is dispatched at once, not held back for jobs
+  that may never come.
+  Such a batch, unless full, holds its group until it returns, so
+  compatible jobs that arrive meanwhile go out together after it and
+  load the trace it stored, instead of building the same workload
+  beside it;
 - **cache-aware ordering** — requests whose keys are warm in the
   disk store are served from a fast lane without ever occupying a
   pool slot, pool results write through to the store, and pool
@@ -52,6 +59,13 @@ DEFAULT_WATCHDOG_INTERVAL_S = 1.0
 DEFAULT_MEMO_LIMIT = 512
 
 
+def _group(job: Job) -> tuple:
+    """Batch compatibility: jobs of one group share a workload build.
+    The animation recipe is part of it, since an animated workload is a
+    different (multi-frame) build per AnimationSpec."""
+    return job.request.alias, job.request.scale, job.request.anim
+
+
 class Scheduler(JobTable):
     """Micro-batching over one worker pool, behind the shared job
     table's admission, coalescing and memo."""
@@ -87,6 +101,14 @@ class Scheduler(JobTable):
         self._queues: dict[str, deque[Job]] = {
             priority: deque() for priority in schema.PRIORITIES}
         self._pool = None
+        # Calls on the current pool, from dispatch until the executor
+        # returns; a recycled pool's calls stop counting.  close() may
+        # cancel a batch before it starts and leave these behind, but
+        # nothing is cut after close().
+        self._pool_calls = 0
+        # Groups whose batch went out without the window and not full:
+        # their queued jobs wait for that batch to return.
+        self._held: set[tuple] = set()
         self._wake: asyncio.Event | None = None
 
     # -- lifecycle -----------------------------------------------------
@@ -129,23 +151,21 @@ class Scheduler(JobTable):
         super()._pulse()
 
     def _take_batch(self) -> list[Job]:
-        """Up to ``batch_max`` queued jobs sharing the head job's
-        (alias, scale), interactive lane first within the group."""
-        head: Job | None = None
+        """Up to ``batch_max`` queued jobs sharing the group of the
+        first queued job whose group is not held, interactive lane
+        first within the group."""
+        group = None
         for priority in schema.PRIORITIES:
             queue = self._queues[priority]
             while queue and queue[0].state != schema.QUEUED:
                 queue.popleft()
-            if queue:
-                head = queue[0]
+            group = next((_group(job) for job in queue
+                          if job.state == schema.QUEUED
+                          and _group(job) not in self._held), None)
+            if group is not None:
                 break
-        if head is None:
+        if group is None:
             return []
-        # The animation recipe is part of batch compatibility: a batch
-        # shares one workload build, and an animated workload is a
-        # different (multi-frame) build per AnimationSpec.
-        group = (head.request.alias, head.request.scale,
-                 head.request.anim)
         batch: list[Job] = []
         for priority in schema.PRIORITIES:
             queue = self._queues[priority]
@@ -154,9 +174,7 @@ class Scheduler(JobTable):
                 job = queue.popleft()
                 if job.state != schema.QUEUED:
                     continue
-                if (len(batch) < self.batch_max
-                        and (job.request.alias, job.request.scale,
-                             job.request.anim) == group):
+                if len(batch) < self.batch_max and _group(job) == group:
                     batch.append(job)
                 else:
                     kept.append(job)
@@ -170,10 +188,14 @@ class Scheduler(JobTable):
             self._wake.clear()
             if not self._pending_count():
                 continue
-            if self.batch_window_s > 0:
-                # The micro-batching window: let near-simultaneous
-                # compatible submissions (and duplicates) land before
-                # the group is cut.
+            # The micro-batching window lets compatible submissions
+            # (and duplicates) land before the group is cut.  It is
+            # skipped while a worker is idle, if the store can hand the
+            # group's trace on to its later batches: without a store a
+            # group cut in two builds its workload twice.
+            at_once = (self._pool_calls < self.jobs
+                       and self.disk is not None)
+            if self.batch_window_s > 0 and not at_once:
                 await asyncio.sleep(self.batch_window_s)
             while True:
                 batch = self._take_batch()
@@ -181,7 +203,14 @@ class Scheduler(JobTable):
                     break
                 cold = await self._serve_warm(batch)
                 if cold:
-                    self._dispatch(cold)
+                    # A batch cut without the window may be the head of
+                    # a burst: unless it is full, the rest of its group
+                    # waits for it rather than build the same workload
+                    # beside it.  A zero window turns micro-batching
+                    # off, so nothing is held then.
+                    self._dispatch(cold, self.batch_window_s > 0
+                                   and at_once
+                                   and len(batch) < self.batch_max)
             self._pulse()
 
     async def _serve_warm(self, batch: list[Job]) -> list[Job]:
@@ -200,16 +229,20 @@ class Scheduler(JobTable):
             self._finish(job, schema.DONE, record=record, lane="disk")
         return cold
 
-    def _dispatch(self, batch: list[Job]) -> None:
+    def _dispatch(self, batch: list[Job], hold: bool) -> None:
         timeout = max((job.request.timeout_s or self.default_timeout_s)
                       for job in batch)
+        self._pool_calls += 1
+        if hold:
+            self._held.add(_group(batch[0]))
         # Watchdog deadline: generous past the wait_for timeout, so it
         # only fires when the batch task itself is wedged.
-        self._spawn(self._run_batch(batch, timeout),
+        self._spawn(self._run_batch(batch, timeout, hold),
                     time.monotonic() + timeout
                     + 2 * self.watchdog_interval_s)
 
-    async def _run_batch(self, batch: list[Job], timeout: float) -> None:
+    async def _run_batch(self, batch: list[Job], timeout: float,
+                         hold: bool) -> None:
         assert self._loop is not None
         request0 = batch[0].request
         now = time.monotonic()
@@ -229,12 +262,20 @@ class Scheduler(JobTable):
                         if request0.anim is not None else None)
         pool = self._pool
         try:
-            records = await asyncio.wait_for(
-                self._loop.run_in_executor(
-                    pool, simulate_request_batch,
-                    request0.alias, request0.scale, entries,
-                    anim_payload, self.disk),
-                timeout)
+            try:
+                records = await asyncio.wait_for(
+                    self._loop.run_in_executor(
+                        pool, simulate_request_batch,
+                        request0.alias, request0.scale, entries,
+                        anim_payload, self.disk),
+                    timeout)
+            finally:
+                if pool is self._pool:
+                    self._pool_calls -= 1
+                if hold:
+                    self._held.discard(_group(batch[0]))
+                    if self._wake is not None:
+                        self._wake.set()
         except (asyncio.TimeoutError, asyncio.CancelledError):
             # Timeout, watchdog cancellation, or close(): the worker
             # may still be crunching a job nobody wants — recycle the
@@ -321,6 +362,7 @@ class Scheduler(JobTable):
             return
         if pool is self._pool and not self._closed:
             self._pool = self._make_pool()
+            self._pool_calls = 0
             self.metrics.count("pool_recycles")
             self.metrics.decision("recycle")
         pool.shutdown(wait=False, cancel_futures=True)

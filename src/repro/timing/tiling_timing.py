@@ -15,8 +15,12 @@ pipeline:
 - primitives are delivered to the Rasterizer in order, at most one per
   cycle (the paper's 1-primitive/cycle ceiling).
 
-The binning phase is replayed untimed first, leaving the caches and the
-shared L2 in the same state as the traffic simulation.
+The binning phase is replayed untimed first, to warm the caches and the
+shared L2.  It sends no background traffic: the traffic simulation, with
+``include_background``, also sends each primitive's background accesses
+before its attribute write, so the timed phase starts from a different
+L2 state than the traffic simulation's fetch phase.
+:func:`repro.replay.replay_fetch_timing` copies this behaviour.
 
 This event-by-event model over the live cache objects is the reference
 oracle: :func:`repro.replay.replay_fetch_timing` computes the same
@@ -179,7 +183,8 @@ def tile_fetcher_throughput(workload: Workload, system: str = "baseline",
     probe = _LatencyProbe(shared, l2_latency, memory_latency, dram=dram)
 
     # ------------------------------------------------------------------
-    # Untimed binning phase (warms caches exactly like the traffic sim).
+    # Untimed binning phase: warms the caches, without the traffic
+    # simulation's background accesses (see the module docstring).
     # ------------------------------------------------------------------
     for event in trace.build_events:
         if isinstance(event, PmdWrite):

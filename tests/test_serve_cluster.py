@@ -359,7 +359,13 @@ class TestFailoverMidSoak:
                 with front.client(timeout_s=300.0) as client:
                     ids = [client.submit(request)["id"]
                            for request in requests]
-                    time.sleep(0.3)  # let forwards reach the shards
+                    # Kill the victim while a forward to it is in
+                    # flight: after a fixed delay it may already have
+                    # answered everything, leaving nothing to drain.
+                    deadline = time.time() + 10
+                    while (client.healthz()["backends"][victim]
+                           ["inflight"] == 0 and time.time() < deadline):
+                        time.sleep(0.005)
                     kill_group(procs[victim])
                     results = [client.wait(job_id, timeout_s=300)
                                for job_id in ids]

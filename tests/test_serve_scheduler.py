@@ -159,6 +159,134 @@ class TestMicroBatching:
         run_with_scheduler(body, batch_window_s=0.1, jobs=1)
 
 
+class TestIdleDispatch:
+    """With a store, the batch window is waited only while every worker
+    is busy."""
+
+    def test_request_on_an_idle_pool_skips_the_window(self, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "simulate_request_batch",
+                            good_records)
+
+        async def body(sched):
+            job, _ = sched.submit(request())
+            await asyncio.wait_for(job.done.wait(), 1.0)
+            assert job.state == DONE
+            assert job.status().queued_for_s < 1.0
+
+        run_with_scheduler(body, batch_window_s=5.0, disk=FakeDisk())
+
+    def test_without_a_store_the_window_is_always_waited(self,
+                                                         monkeypatch):
+        # No store to pass a trace on: a burst split at its first job
+        # would build its workload twice.
+        monkeypatch.setattr(scheduler_module, "simulate_request_batch",
+                            good_records)
+
+        async def body(sched):
+            job, _ = sched.submit(request())
+            await asyncio.wait_for(job.done.wait(), 5)
+            assert job.status().queued_for_s >= 0.3
+
+        run_with_scheduler(body, batch_window_s=0.3)
+
+    def test_busy_worker_still_batches_across_awaits(self, monkeypatch):
+        release = threading.Event()
+        calls = []
+
+        def worker(alias, scale, entries, anim_payload=None, store=None):
+            calls.append((alias, len(entries)))
+            release.wait(5)
+            return good_records(alias, scale, entries)
+        monkeypatch.setattr(scheduler_module, "simulate_request_batch",
+                            worker)
+
+        async def body(sched):
+            busy = sched.submit(request("CCS"))[0]
+            while busy.state == QUEUED:
+                await asyncio.sleep(0.005)
+            first = sched.submit(request(size=32 * KIB))[0]
+            await asyncio.sleep(0.02)
+            second = sched.submit(request(size=64 * KIB))[0]
+            release.set()
+            await asyncio.wait_for(asyncio.gather(
+                *(job.done.wait() for job in (busy, first, second))), 5)
+            assert calls == [("CCS", 1), ("GTr", 2)]
+            assert sched.metrics.value("batches") == 2
+
+        try:
+            run_with_scheduler(body, batch_window_s=0.3, jobs=1,
+                               disk=FakeDisk())
+        finally:
+            release.set()
+
+    def test_group_cut_at_once_holds_its_later_jobs(self, monkeypatch):
+        # A burst's first job goes out alone on an idle pool; the rest
+        # of its group waits for it instead of building the workload on
+        # the other worker, while another group still starts at once.
+        release = threading.Event()
+        calls = []
+
+        def worker(alias, scale, entries, anim_payload=None, store=None):
+            calls.append((alias, len(entries)))
+            if alias == "GTr":
+                release.wait(5)
+            return good_records(alias, scale, entries)
+        monkeypatch.setattr(scheduler_module, "simulate_request_batch",
+                            worker)
+
+        async def body(sched):
+            head = sched.submit(request(size=32 * KIB))[0]
+            while head.state == QUEUED:
+                await asyncio.sleep(0.005)
+            rest = [sched.submit(request(size=size * KIB))[0]
+                    for size in (64, 96)]
+            other = sched.submit(request("CCS"))[0]
+            await asyncio.wait_for(other.done.wait(), 1.0)
+            assert all(job.state == QUEUED for job in rest)
+            release.set()
+            await asyncio.wait_for(asyncio.gather(
+                *(job.done.wait() for job in [head, *rest])), 5)
+            assert calls == [("GTr", 1), ("CCS", 1), ("GTr", 2)]
+
+        try:
+            run_with_scheduler(body, batch_window_s=5.0, jobs=2,
+                               disk=FakeDisk())
+        finally:
+            release.set()
+
+    def test_full_batch_holds_nothing(self, monkeypatch):
+        # A full batch takes no more jobs, so the rest of its group
+        # goes out beside it.
+        release = threading.Event()
+        calls = []
+
+        def worker(alias, scale, entries, anim_payload=None, store=None):
+            calls.append(len(entries))
+            release.wait(5)
+            return good_records(alias, scale, entries)
+        monkeypatch.setattr(scheduler_module, "simulate_request_batch",
+                            worker)
+
+        async def body(sched):
+            jobs = [sched.submit(request(size=size * KIB))[0]
+                    for size in (32, 64, 96)]
+
+            async def both_started():
+                while len(calls) < 2:
+                    await asyncio.sleep(0.005)
+            await asyncio.wait_for(both_started(), 1.0)
+            release.set()
+            await asyncio.wait_for(asyncio.gather(
+                *(job.done.wait() for job in jobs)), 5)
+            assert sorted(calls) == [1, 2]
+
+        try:
+            run_with_scheduler(body, batch_window_s=5.0, jobs=2,
+                               batch_max=2, disk=FakeDisk())
+        finally:
+            release.set()
+
+
 class TestAdmissionControl:
     def test_full_queue_rejects_with_429(self, monkeypatch):
         monkeypatch.setattr(scheduler_module, "simulate_request_batch",
