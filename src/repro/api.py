@@ -120,13 +120,19 @@ class RunResult:
     ``result`` is the raw :class:`SystemResult`; ``metrics`` is the
     flat ``{dotted.name: number}`` registry snapshot taken right after
     the run; ``invariant_failures`` lists any conservation invariants
-    the snapshot violated (empty on a healthy run).
+    the snapshot violated (empty on a healthy run).  ``engine`` names
+    the engine that ran (``"replay"`` or ``"live"``), and
+    ``replay_refusal`` says why replay stood aside when it was tried
+    and refused (``None`` when it ran, or when ``engine="live"`` was
+    asked for).
     """
 
     result: "SystemResult"
     config: SimulationConfig
     metrics: Mapping[str, float] = field(default_factory=dict)
     invariant_failures: tuple[str, ...] = ()
+    engine: str = "live"
+    replay_refusal: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -232,21 +238,24 @@ def _run_engine(engine: str, obs: Observation | None, replayed, live):
     :class:`~repro.replay.ReplayUnsupportedError` for a configuration
     outside what they model; then it calls ``live()``.  ``"live"``
     always calls ``live()``; ``"replay"`` lets the refusal raise.
+    Returns ``(result, engine that ran, refusal message or None)``.
     """
     from repro import replay
 
     if engine not in _ENGINES:
         raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
+    refusal = None
     if engine != "live":
         try:
             reason = replay.replay_allowed(obs)
             if reason is not None:
                 raise replay.ReplayUnsupportedError(reason)
-            return replayed()
-        except replay.ReplayUnsupportedError:
+            return replayed(), "replay", None
+        except replay.ReplayUnsupportedError as error:
             if engine == "replay":
                 raise
-    return live()
+            refusal = str(error)
+    return live(), "live", refusal
 
 
 def run_simulation(source: WorkloadSource, config: SimulationConfig,
@@ -260,6 +269,12 @@ def run_simulation(source: WorkloadSource, config: SimulationConfig,
     simulator runs on the source's workload, built only at that point.
     Metrics are registered into ``obs`` when given.
     """
+    return _simulation(source, config, obs, engine)[0]
+
+
+def _simulation(source: WorkloadSource, config: SimulationConfig,
+                obs: Observation | None, engine: str) -> tuple:
+    """:func:`run_simulation` with :func:`_run_engine`'s provenance."""
     from repro import replay
     from repro.tcor import system
 
@@ -332,7 +347,7 @@ def run_fetch_timing(source: WorkloadSource, config: SimulationConfig,
         lambda: replay.replay_fetch_timing(source.trace(), config.kind,
                                            **options),
         lambda: tiling_timing.tile_fetcher_throughput(
-            source.workload(), config.kind, **options))
+            source.workload(), config.kind, **options))[0]
 
 
 def simulate(workload: "Workload | WorkloadSource",
@@ -358,10 +373,11 @@ def simulate(workload: "Workload | WorkloadSource",
     config = config if config is not None else SimulationConfig()
     if obs is None:
         obs = Observation(MetricsRegistry())
-    result = run_simulation(source, config, obs, engine)
+    result, ran, refusal = _simulation(source, config, obs, engine)
     return RunResult(result=result, config=config,
                      metrics=obs.snapshot(),
-                     invariant_failures=tuple(obs.registry.check_invariants()))
+                     invariant_failures=tuple(obs.registry.check_invariants()),
+                     engine=ran, replay_refusal=refusal)
 
 
 def simulation_cache(scale: float, *,

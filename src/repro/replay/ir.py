@@ -29,6 +29,7 @@ contiguous and interleaved, 64 KiB and 128 KiB alike.
 from __future__ import annotations
 
 import json
+from array import array
 
 import numpy as np
 
@@ -169,6 +170,23 @@ class FrameIR:
             self._views["attr_base"] = cached
         return cached
 
+    def background(self, trace: "CompiledTrace", skip=None,
+                   prims: bool = True) -> "BackgroundStream":
+        """The frame's background L2 stream, in the order a run sends it.
+
+        One segment per ``AttributeWrite`` in build order (the
+        primitive's segment, or empty when ``prims`` is off), then one
+        per ``TileDone`` in fetch order (the tile's segment, or empty
+        for a tile ``skip`` marks as eliminated).  The segments are
+        memoized per skip mask: they depend on nothing else.
+        """
+        key = ("bg", prims, None if skip is None else bytes(skip))
+        cached = self._views.get(key)
+        if cached is None:
+            cached = BackgroundStream(self, trace, skip, prims)
+            self._views[key] = cached
+        return cached
+
     def attr_sets(self, num_sets: int, use_xor: bool) -> list:
         """Primitive-id -> Primitive Buffer set index, per indexing fn."""
         key = ("attr_sets", num_sets, use_xor)
@@ -192,6 +210,68 @@ class FrameIR:
                               else folded % num_sets)
         self._views[key] = cached
         return cached
+
+
+def narrow_tags(tags: np.ndarray) -> np.ndarray:
+    """``tags`` as int32 when every one fits, which halves the replay
+    kernels' largest arrays; else unchanged."""
+    if len(tags) and int(tags.max()) < 1 << 31:
+        return tags.astype(np.int32)
+    return tags
+
+
+def run_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The runs ``starts[i], starts[i] + 1, ...`` of ``lengths[i]``
+    integers each, concatenated."""
+    total = int(lengths.sum())
+    run_start = np.cumsum(lengths) - lengths
+    return (np.repeat(starts - run_start, lengths)
+            + np.arange(total, dtype=_I64))
+
+
+class BackgroundStream:
+    """One frame's background accesses as flat arrays (see
+    :meth:`FrameIR.background`).
+
+    ``tag``/``write``/``region`` describe each access and ``horizon``
+    is the dead-line horizon it is sent under: -1 in the build phase,
+    the finished tile's rank in the fetch phase.  ``seg_start[k]`` is
+    the index of segment ``k``'s first access (one entry more than
+    there are segments) and ``seg_of`` names each access's segment.
+    """
+
+    __slots__ = ("tag", "write", "region", "horizon", "seg_start",
+                 "seg_of")
+
+    def __init__(self, frame: FrameIR, trace: "CompiledTrace", skip,
+                 prims: bool) -> None:
+        pids = _np(frame.bw_pid)
+        tiles = _np(frame.td_tile)
+        prim_off = trace.bg_prim_off
+        tile_off = trace.bg_tile_off
+        prim_len = prim_off[pids + 1] - prim_off[pids]
+        if not prims:
+            prim_len[:] = 0
+        tile_len = tile_off[tiles + 1] - tile_off[tiles]
+        if skip is not None:
+            tile_len[np.asarray(skip, dtype=bool)[tiles]] = 0
+        prim_at = run_indices(prim_off[pids], prim_len)
+        tile_at = run_indices(tile_off[tiles], tile_len)
+        self.tag = narrow_tags(np.concatenate((trace.bg_prim_tag[prim_at],
+                                               trace.bg_tile_tag[tile_at])))
+        self.write = np.concatenate((trace.bg_prim_wr[prim_at],
+                                     trace.bg_tile_wr[tile_at])) == 1
+        self.region = np.concatenate((trace.bg_prim_reg[prim_at],
+                                      trace.bg_tile_reg[tile_at])
+                                     ).astype(np.int8)
+        self.horizon = np.concatenate((
+            np.full(len(prim_at), -1, dtype=np.int32),
+            np.repeat(np.asarray(frame.td_rank, dtype=np.int32), tile_len)))
+        lengths = np.concatenate((prim_len, tile_len))
+        self.seg_start = np.zeros(len(lengths) + 1, dtype=_I64)
+        np.cumsum(lengths, out=self.seg_start[1:])
+        self.seg_of = np.repeat(np.arange(len(lengths), dtype=np.int32),
+                                lengths)
 
 
 class TraceHeader:
@@ -225,7 +305,8 @@ class TraceHeader:
 
 class CompiledTrace:
     """A workload lowered to replayable arrays: header + background +
-    per-frame event streams."""
+    per-frame event streams.  The ``bg_*`` arrays are int64 ndarrays:
+    per tile / per primitive segments delimited by ``*_off``."""
 
     __slots__ = ("header", "frames",
                  "bg_tile_tag", "bg_tile_reg", "bg_tile_wr", "bg_tile_off",
@@ -348,10 +429,10 @@ def compile_workload(workload: Workload) -> CompiledTrace:
     # Background traffic is frame-independent (stateless per-entity RNG),
     # so it is captured once at trace level and indexed by tile id /
     # primitive id during replay.
-    bg_tile_tag: list = []
-    bg_tile_reg: list = []
-    bg_tile_wr: list = []
-    bg_tile_off = [0]
+    bg_tile_tag = array("q")
+    bg_tile_reg = array("q")
+    bg_tile_wr = array("q")
+    bg_tile_off = array("q", [0])
     for tile_id in range(screen.num_tiles):
         for access in background.tile_accesses(tile_id):
             bg_tile_tag.append(access.address >> shift)
@@ -361,10 +442,10 @@ def compile_workload(workload: Workload) -> CompiledTrace:
     num_prims = max((frame_prims for frame_prims in
                      (len(frame.attr_count) for frame in frames)),
                     default=0)
-    bg_prim_tag: list = []
-    bg_prim_reg: list = []
-    bg_prim_wr: list = []
-    bg_prim_off = [0]
+    bg_prim_tag = array("q")
+    bg_prim_reg = array("q")
+    bg_prim_wr = array("q")
+    bg_prim_off = array("q", [0])
     for pid in range(num_prims):
         for access in background.primitive_accesses(pid):
             bg_prim_tag.append(access.address >> shift)
@@ -372,6 +453,10 @@ def compile_workload(workload: Workload) -> CompiledTrace:
             bg_prim_wr.append(int(access.op))
         bg_prim_off.append(len(bg_prim_tag))
 
+    bg_tile_tag, bg_tile_reg, bg_tile_wr, bg_tile_off = map(
+        _np, (bg_tile_tag, bg_tile_reg, bg_tile_wr, bg_tile_off))
+    bg_prim_tag, bg_prim_reg, bg_prim_wr, bg_prim_off = map(
+        _np, (bg_prim_tag, bg_prim_reg, bg_prim_wr, bg_prim_off))
     header = TraceHeader(
         alias=workload.spec.alias,
         scale=workload.scale,
@@ -458,6 +543,5 @@ def load_trace(file) -> CompiledTrace:
             fields = {name: archive[f"f{index}_{name}"].tolist()
                       for name in _FRAME_FIELDS}
             frames.append(FrameIR(**fields))
-        trace_fields = {name: archive[name].tolist()
-                        for name in _TRACE_FIELDS}
+        trace_fields = {name: archive[name] for name in _TRACE_FIELDS}
     return CompiledTrace(header, frames, **trace_fields)

@@ -17,11 +17,35 @@ Usage::
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
+import os
 import threading
 
 from repro.serve.client import ServeClient
 from repro.serve.scheduler import Scheduler
 from repro.serve.server import SimulationServer
+
+# How much longer than its own drain timeout :meth:`InProcessServer.drain`
+# waits for the server loop to report the drain done.
+DRAIN_GRACE_S = 30.0
+# How long a stalled drain's report waits for the loop to list its tasks.
+REPORT_TIMEOUT_S = 5.0
+
+
+def _suspension(task: asyncio.Task) -> str:
+    """``name: outer (file:line) -> ... -> inner (file:line)``: the
+    chain of coroutines a pending task is suspended in, innermost last,
+    and what the innermost one awaits."""
+    chain = []
+    awaited = task.get_coro()
+    while getattr(awaited, "cr_frame", None) is not None:
+        frame = awaited.cr_frame
+        chain.append(f"{awaited.__qualname__} "
+                     f"({os.path.basename(frame.f_code.co_filename)}:"
+                     f"{frame.f_lineno})")
+        awaited = awaited.cr_await
+    tail = "" if awaited is None else f" awaiting {type(awaited).__name__}"
+    return f"{task.get_name()}: {' -> '.join(chain)}{tail}"
 
 
 class InProcessServer:
@@ -88,6 +112,24 @@ class InProcessServer:
         assert self._loop is not None
         return asyncio.run_coroutine_threadsafe(coroutine, self._loop)
 
+    def _pending_tasks(self) -> list:
+        """One line per task pending on the server loop, naming the
+        coroutines it is suspended in (see :func:`_suspension`).  The
+        list is collected on the loop itself; a loop that does not
+        answer within ``REPORT_TIMEOUT_S`` is reported as blocked."""
+        async def collect() -> list:
+            current = asyncio.current_task()
+            return sorted(_suspension(task) for task in asyncio.all_tasks()
+                          if task is not current and not task.done())
+
+        future = self.submit(collect())
+        try:
+            return future.result(timeout=REPORT_TIMEOUT_S)
+        except concurrent.futures.TimeoutError:
+            future.cancel()
+            return [f"(none listed: the server loop did not answer "
+                    f"within {REPORT_TIMEOUT_S:g}s, so it is blocked)"]
+
     def client(self, timeout_s: float | None = 120.0) -> ServeClient:
         return ServeClient(self.host, self.port, timeout_s=timeout_s)
 
@@ -96,7 +138,14 @@ class InProcessServer:
         if not self._thread.is_alive() or self._loop is None:
             return
         future = self.submit(self.server.drain(timeout_s))
-        future.result(timeout=(timeout_s or 0) + 30.0)
+        waited = (timeout_s or 0) + DRAIN_GRACE_S
+        try:
+            future.result(timeout=waited)
+        except concurrent.futures.TimeoutError as error:
+            raise TimeoutError(
+                f"the server's drain did not finish within {waited:g}s; "
+                "tasks pending on the server loop:\n  "
+                + "\n  ".join(self._pending_tasks())) from error
         # The drain future resolved on the caller's side, so it is now
         # safe to let the loop's main task return and close the loop.
         shutdown = self._shutdown

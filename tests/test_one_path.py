@@ -63,7 +63,15 @@ def engine_env(request, monkeypatch):
 def test_every_entry_point_returns_the_same_results(engine_env):
     configs = [job.config for job in JOBS] + [CUSTOM_GPU]
     workload = suite.build_workload(BENCHMARKS[ALIAS], scale=SCALE)
-    direct = [api.simulate(workload, config).result for config in configs]
+    runs = [api.simulate(workload, config) for config in configs]
+    direct = [run.result for run in runs]
+    # Each run names its engine, and why replay stood aside.
+    if engine_env == "REPRO_NO_REPLAY":
+        expected = [("live", "REPRO_NO_REPLAY is set")] * 4
+    else:
+        expected = [("replay", None)] * 3 + [
+            ("live", "L2 line size != PB block size")]
+    assert [(run.engine, run.replay_refusal) for run in runs] == expected
 
     provider = SimulationCache(scale=SCALE, aliases=(ALIAS,))
     assert [provider.baseline(ALIAS, SIZE), provider.tcor(ALIAS, SIZE),

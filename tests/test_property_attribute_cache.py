@@ -149,11 +149,18 @@ def test_replay_attribute_cache_follows_the_live_cache(stream, write_bypass,
     requests: list = []
     counters = [0] * 8
     fields = [field.name for field in dataclasses.fields(AttributeCacheStats)]
+
+    def send(run) -> None:
+        """One recorded L2 request run, as per-block requests."""
+        base, count, is_write, region, rank = run
+        requests.extend((tag, bool(is_write), region, rank)
+                        for tag in range(base, base + count))
+
     read, write, flush = _attr_cache(
         live.num_sets, ways, config.attribute_buffer_entries, window,
         write_bypass, [live.set_of(pid) for pid in pids],
         [attributes.primitive_base(pid) // stride for pid in pids], counts,
-        lambda *request: requests.append(request), [0, 0], counters)
+        send, [0, 0], counters)
 
     def check(live_requests) -> None:
         assert requests == [

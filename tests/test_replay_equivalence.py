@@ -40,6 +40,33 @@ from repro.workloads.suite import BENCHMARK_ORDER, BENCHMARKS, build_workload
 
 EQUIVALENCE_SCALE = 0.2
 TILE_CACHE_BYTES = 64 * KIB
+# Non-default L2s (size, ways): the sensitivity sweep's smallest, where
+# many sets overflow; fewer ways; 192 sets, not a power of two.
+L2_GEOMETRIES = ((256 * KIB, 8), (128 * KIB, 4), (96 * KIB, 8))
+
+
+def _with_l2(size: int, ways: int):
+    from repro.config import DEFAULT_GPU
+
+    return dataclasses.replace(DEFAULT_GPU, l2_cache=dataclasses.replace(
+        DEFAULT_GPU.l2_cache, size_bytes=size, associativity=ways))
+
+
+@pytest.fixture
+def overflow_runs(monkeypatch):
+    """Counts the L2 passes that sent some sets through the sequential
+    engine, so a matrix can assert that its overflow path ran."""
+    from repro.replay import kernels
+
+    runs = []
+    engine = kernels._l2_engine
+
+    def counted(*args, **kwargs):
+        runs.append(args[:2])
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_l2_engine", counted)
+    return runs
 
 
 def _assert_results_equal(alias, live, replayed) -> None:
@@ -47,6 +74,16 @@ def _assert_results_equal(alias, live, replayed) -> None:
     for field in dataclasses.fields(type(live)):
         assert getattr(live, field.name) == getattr(replayed, field.name), \
             f"{alias}: {live.label}.{field.name} diverged"
+
+
+def _assert_metrics_equal(label, live, replayed) -> None:
+    assert dict(live.metrics) == dict(replayed.metrics), \
+        f"{label}: metrics diverged"
+    # A snapshot lists each stats object's region counters in the order
+    # the run first touched each region, on either engine.
+    assert [name for name in live.metrics if ".by_region." in name] == \
+        [name for name in replayed.metrics if ".by_region." in name], \
+        f"{label}: region order diverged"
 
 
 @pytest.mark.parametrize("alias", BENCHMARK_ORDER)
@@ -66,8 +103,8 @@ def test_replay_bit_identical_for_every_policy(alias):
         _assert_results_equal(alias, live.result, replayed.result)
         # The whole snapshot too: counters a SystemResult field does not
         # carry (e.g. live.l2.dead_evictions) are only compared here.
-        assert dict(live.metrics) == dict(replayed.metrics), \
-            f"{alias}: {live.result.label} metrics diverged"
+        _assert_metrics_equal(f"{alias} {live.result.label}", live,
+                              replayed)
 
 
 class TestMetricNames:
@@ -134,8 +171,48 @@ class TestRandomizedMatrix:
                                 config, engine="live")
                 replayed = simulate(workload, config, engine="replay")
                 _assert_results_equal(alias, live.result, replayed.result)
-                assert dict(live.metrics) == dict(replayed.metrics), \
-                    f"{alias}: metrics diverged for {config}"
+                _assert_metrics_equal(f"{alias} {config}", live, replayed)
+
+    def test_non_default_l2_geometries(self, overflow_runs):
+        """The L2 pass at L2s other than the default 1 MiB 8-way: the
+        suite configs per geometry, then three animated frames with
+        Rendering Elimination on at the smallest."""
+        from repro.anim import AnimationSpec, build_animated_workload
+
+        rng = random.Random(0x12C0)
+        cells = []
+        for (size, ways), alias in zip(L2_GEOMETRIES,
+                                       rng.sample(BENCHMARK_ORDER, 3)):
+            gpu = _with_l2(size, ways)
+            source = WorkloadSource.of(
+                build_workload(BENCHMARKS[alias], scale=0.05))
+            tcor_config = TCORConfig.for_total_size(TILE_CACHE_BYTES)
+            cells += [(f"{alias} L2 {size // KIB}K/{ways}", source, config)
+                      for config in (
+                          SimulationConfig(kind="baseline", gpu=gpu,
+                                           tile_cache_bytes=TILE_CACHE_BYTES),
+                          SimulationConfig(kind="tcor", gpu=gpu,
+                                           tcor=tcor_config),
+                          SimulationConfig(kind="tcor", gpu=gpu,
+                                           tcor=tcor_config,
+                                           l2_enhancements=False))]
+        anim = AnimationSpec(frames=3, path="orbit", dwell=2, travel=1,
+                             churn=0.5, seed=29)
+        cells.append(("SoD animated L2 256K/8", WorkloadSource.of(
+            build_animated_workload(BENCHMARKS["SoD"], anim, scale=0.05)),
+            SimulationConfig(kind="tcor", gpu=_with_l2(256 * KIB, 8),
+                             rendering_elimination=True)))
+        for label, source, config in cells:
+            live = simulate(source, config, engine="live")
+            replayed = simulate(source, config, engine="replay")
+            _assert_results_equal(label, live.result, replayed.result)
+            _assert_metrics_equal(f"{label} {config}", live, replayed)
+        assert live.result.tiles_skipped > 0
+        # Some sets overflowed at each geometry and went through the
+        # sequential engine.
+        assert {ways for _, ways in overflow_runs} == {4, 8}
+        assert {num_sets for num_sets, _ in overflow_runs} >= {
+            size // 64 // ways for size, ways in L2_GEOMETRIES}
 
 
 class TestAnimatedMatrix:
@@ -167,8 +244,7 @@ class TestAnimatedMatrix:
                 label = f"{alias} f{frames} churn={churn} {kind} " \
                         f"re={re_on}"
                 _assert_results_equal(label, live.result, replayed.result)
-                assert dict(live.metrics) == dict(replayed.metrics), \
-                    f"{label}: metrics diverged"
+                _assert_metrics_equal(label, live, replayed)
                 assert live.ok and replayed.ok
 
     def test_animated_trace_round_trips_with_signatures(self):
@@ -262,8 +338,14 @@ class TestReplayGates:
         config = SimulationConfig(kind="baseline", gpu=small)
         with pytest.raises(ReplayUnsupportedError):
             simulate(workload, config, engine="replay")
-        assert simulate(workload, config).result == \
-            simulate(workload, config, engine="live").result
+        fallback = simulate(workload, config)
+        forced = simulate(workload, config, engine="live")
+        assert fallback.result == forced.result
+        assert (fallback.engine, fallback.replay_refusal) == \
+            ("live", "L2 line size != PB block size")
+        assert (forced.engine, forced.replay_refusal) == ("live", None)
+        replayed = simulate(workload, SimulationConfig(kind="baseline"))
+        assert (replayed.engine, replayed.replay_refusal) == ("replay", None)
 
 
 # ----------------------------------------------------------------------
@@ -376,6 +458,21 @@ class TestFetchTimingMatrix:
                         filled += live.mshr_peak == mshr_entries
         # The MSHR-full stall path must be exercised, not just reachable.
         assert filled
+
+    def test_non_default_l2_geometries(self, overflow_runs):
+        rng = random.Random(0xF12C)
+        for (size, ways), alias in zip(L2_GEOMETRIES,
+                                       rng.sample(BENCHMARK_ORDER, 3)):
+            source = WorkloadSource.of(
+                build_workload(BENCHMARKS[alias], scale=0.05))
+            for config in _fetch_configs(TILE_CACHE_BYTES,
+                                         gpu=_with_l2(size, ways)):
+                live = run_fetch_timing(source, config, engine="live")
+                replayed = run_fetch_timing(source, config, engine="replay")
+                _assert_results_equal(f"{alias} L2 {size // KIB}K/{ways}",
+                                      live, replayed)
+        assert {num_sets for num_sets, _ in overflow_runs} == {
+            size // 64 // ways for size, ways in L2_GEOMETRIES}
 
 
 class TestFetchTimingGates:

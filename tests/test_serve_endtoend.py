@@ -15,6 +15,7 @@ The serving contract (ISSUE acceptance criteria):
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import signal
@@ -262,7 +263,50 @@ class TestInflightGauge:
         assert gauge == 0
 
 
+class _StuckScheduler:
+    """A scheduler whose drain waits until the test releases it."""
+
+    draining = False
+
+    async def start(self) -> None:
+        self.release = asyncio.Event()
+
+    async def drain(self, timeout_s=None) -> int:
+        await self.release.wait()
+        return 0
+
+    async def close(self) -> None:
+        pass
+
+
 class TestGracefulShutdown:
+    def test_a_stalled_drain_names_the_pending_awaits(self, monkeypatch):
+        """An in-process drain that times out says which await stalled:
+        every task pending on the server loop, with the coroutines it is
+        suspended in."""
+        from repro.serve import inprocess
+
+        monkeypatch.setattr(inprocess, "DRAIN_GRACE_S", 0.2)
+        scheduler = _StuckScheduler()
+        server = InProcessServer(scheduler=scheduler)
+        try:
+            with pytest.raises(TimeoutError) as caught:
+                server.drain(timeout_s=0.0)
+            report = str(caught.value)
+            assert "within 0.2s" in report
+            assert ("SimulationServer.drain (server.py:"
+                    in report), report
+            assert "_StuckScheduler.drain (test_serve_endtoend.py:" \
+                in report, report
+            assert "Event.wait (locks.py:" in report, report
+        finally:
+            async def release() -> None:
+                scheduler.release.set()
+
+            server.submit(release()).result(timeout=10)
+            server.drain(timeout_s=10.0)
+        assert not server._thread.is_alive()
+
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
         """The full CLI contract: submit work, SIGTERM mid-flight, the
         server finishes the job, reports the drain, and exits 0."""
