@@ -6,16 +6,24 @@ primitive followed by the Tile Fetcher's read per (tile, primitive)
 pair.  These helpers extract that stream from a workload and sweep cache
 size / associativity / policy over it.
 
-LRU fully-associative curves use single-pass Mattson stack analysis;
-everything else is simulated directly (offline Belady via the lazy-heap
-policy, so even multi-thousand-way sweeps stay fast).
+LRU fully-associative curves use single-pass Mattson stack analysis.
+LRU, OPT (``belady``), MRU and DRRIP at other geometries run through
+the kernels of :mod:`repro.analysis.miss_engine`; every other policy,
+and :func:`policy_miss_ratio` itself (the engine's oracle), drives a
+``SetAssociativeCache`` with the policy object.
 """
 
 from __future__ import annotations
 
 from repro.analysis.lower_bound import lower_bound_ratio, primitives_capacity
+from repro.analysis.miss_engine import (
+    ENGINE_POLICIES,
+    cache_geometry,
+    miss_count,
+)
 from repro.caches.mattson import MattsonStack
 from repro.caches.policies import BeladyOPT, make_policy
+from repro.caches.policies.belady import next_use_table
 from repro.caches.set_assoc import SetAssociativeCache
 from repro.tiling.events import AttributeRead, AttributeWrite
 from repro.workloads.suite import Workload, WorkloadProfile
@@ -48,9 +56,7 @@ def policy_miss_ratio(trace: list[int], capacity_primitives: int,
     """
     if not trace:
         return 0.0
-    capacity = max(1, capacity_primitives)
-    ways = capacity if associativity is None else min(associativity, capacity)
-    num_sets = max(1, capacity // ways)
+    num_sets, ways = cache_geometry(capacity_primitives, associativity)
     if policy_name == "belady":
         policy = BeladyOPT.from_trace(trace)
     else:
@@ -101,6 +107,15 @@ def suite_miss_curve(workloads: list[Workload | WorkloadProfile],
         if policy_name == "lru" and associativity is None:
             curve = lru_fully_associative_curve(trace, capacities)
             ratios = [curve[c] for c in capacities]
+        elif trace and policy_name in ENGINE_POLICIES:
+            kwargs = dict(policy_kwargs)
+            if policy_name == "belady":
+                kwargs["next_use"] = next_use_table(trace)
+            ratios = [
+                miss_count(trace, capacity, policy_name, associativity,
+                           **kwargs) / len(trace)
+                for capacity in capacities
+            ]
         else:
             ratios = [
                 policy_miss_ratio(trace, capacity, policy_name,

@@ -33,13 +33,18 @@ from repro.anim.paths import (Affine2D, IDENTITY, camera_transform,
                               rotation_about)
 from repro.anim.spec import AnimationSpec
 from repro.config import DEFAULT_GPU, ParameterBufferConfig, ScreenConfig
-from repro.geometry.generator import (SceneGenerator, SceneParameters,
-                                      fat_triangle, sample_attribute_count)
+from repro.geometry.generator import (SceneGenerator, fat_triangle,
+                                      sample_attribute_count)
 from repro.geometry.primitives import Primitive
 from repro.geometry.scene import Scene
 from repro.geometry.traversal import TraversalOrder
 from repro.tiling.engine import TilingEngine
-from repro.workloads.suite import BenchmarkSpec, Workload, build_workload
+from repro.workloads.suite import (
+    BenchmarkSpec,
+    Workload,
+    build_workload,
+    scene_parameters,
+)
 
 
 def _frame_rng(spec: BenchmarkSpec, anim: AnimationSpec,
@@ -140,15 +145,7 @@ def build_animated_workload(
         base.anim = anim
         return base
 
-    num_primitives = max(16, round(spec.num_primitives(pbuffer) * scale))
-    generator = SceneGenerator(screen, SceneParameters(
-        num_primitives=num_primitives,
-        target_reuse=spec.avg_reuse,
-        mean_attributes=spec.mean_attributes,
-        is_2d=spec.is_2d,
-        coverage_fraction=spec.coverage_fraction,
-        seed=spec.seed,
-    ))
+    generator = SceneGenerator(screen, scene_parameters(spec, scale, pbuffer))
     base_scene = generator.generate(0)
 
     # Persistent object state: base (untransformed) primitives grouped

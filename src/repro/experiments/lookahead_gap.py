@@ -12,8 +12,9 @@ starts reading.
 from __future__ import annotations
 
 from repro.analysis.lower_bound import primitives_capacity
+from repro.analysis.miss_engine import miss_count
 from repro.caches.fully_assoc import fully_associative_cache
-from repro.caches.policies import BeladyOPT, LookaheadOPT, make_policy
+from repro.caches.policies import LookaheadOPT
 from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentResult,
@@ -44,8 +45,8 @@ def run(scale: float = DEFAULT_SCALE,
         mean_attrs = profile.mean_attributes
         capacity = primitives_capacity(
             int(CACHE_KIB * 1024 * scale) or 1024, mean_attrs)
-        lru = _misses(trace, capacity, make_policy("lru"))
-        opt = _misses(trace, capacity, BeladyOPT.from_trace(trace))
+        lru = miss_count(trace, capacity, "lru")
+        opt = miss_count(trace, capacity, "belady")
         gap = lru - opt
         row = [alias, lru, opt]
         for window in windows:

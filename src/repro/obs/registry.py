@@ -192,6 +192,11 @@ class MetricsRegistry:
         if rule not in self._sum_rules:
             self._sum_rules.append(rule)
 
+    def sum_rules(self) -> list[tuple[str, tuple, tuple]]:
+        """The attached sum rules as ``(description, lhs, rhs)``, in
+        the order they were attached."""
+        return list(self._sum_rules)
+
     def check_invariants(self) -> list[str]:
         """Every violated invariant as a human-readable string."""
         failures: list[str] = []

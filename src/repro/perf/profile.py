@@ -1,15 +1,28 @@
-"""Per-phase timing of the simulator core.
+"""Per-stage timing of a cold run.
 
 Usage::
 
-    python -m repro.perf --benchmarks GTr CCS --scale 0.1
+    python -m repro.perf --benchmarks SoD GTr --scale 0.2
     python -m repro.perf --scale 0.2 --cprofile   # + top functions
 
-For every benchmark the harness times three phases — workload
-construction (geometry + tiling trace), the baseline replay, and the
-TCOR replay — and prints a fixed-width breakdown with totals.  The
-optional cProfile pass aggregates the simulation phases only (workload
-construction is dominated by numpy and not a tuning target) and prints
+For every benchmark the harness runs what a cold regeneration
+(``tcor-experiments --all --no-disk-cache``) runs for it, in one
+process and without memos or stores, and times each stage:
+
+- ``calibrate``: the scene generator's extent calibration;
+- ``generate``: frame 0's scene generation plus binning (the Tiling
+  Engine's Parameter Buffer and event streams);
+- ``compile``: lowering into the replay IR, split into the event
+  streams and the background stream
+  (:meth:`~repro.workloads.background.BackgroundTrafficModel.tile_stream`
+  and ``primitive_stream``);
+- ``replay``: one replayed simulation per suite config, the six cells
+  of the experiment job matrix;
+- ``curves``: the miss curves of Figures 1 and 11-13 and the lookahead
+  experiment, over the profile derived from the compiled trace.
+
+It prints a fixed-width table per benchmark with totals, and the
+replay time per config.  ``--cprofile`` profiles every stage and prints
 the top functions by cumulative time.
 """
 
@@ -23,10 +36,32 @@ import time
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.config import TCORConfig
-from repro.experiments.common import TILE_CACHE_SIZES
-from repro.tcor.system import simulate_baseline, simulate_tcor
-from repro.workloads.suite import BENCHMARK_ORDER, BENCHMARKS, build_workload
+from repro.api import simulate
+from repro.config import DEFAULT_GPU
+from repro.experiments import (
+    fig01_intro_gap,
+    fig11_lower_bound,
+    fig12_associativity,
+    fig13_policies,
+    lookahead_gap,
+)
+from repro.geometry.generator import SceneGenerator
+from repro.parallel.engine import EXPERIMENT_VARIANTS, enumerate_jobs
+from repro.replay import compile_workload
+from repro.tiling.engine import TilingEngine
+from repro.workloads.background import BackgroundTrafficModel
+from repro.workloads.suite import (
+    BENCHMARK_ORDER,
+    BENCHMARKS,
+    Workload,
+    WorkloadProfile,
+    scene_parameters,
+)
+
+STAGES = ("calibrate", "generate", "compile_events", "compile_background",
+          "replay", "curves")
+_CURVE_FIGURES = (fig01_intro_gap, fig11_lower_bound, fig12_associativity,
+                  fig13_policies, lookahead_gap)
 
 
 class PhaseTimer:
@@ -44,65 +79,117 @@ class PhaseTimer:
             elapsed = time.perf_counter() - started
             self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
 
-    def get(self, name: str) -> float:
-        return self.seconds.get(name, 0.0)
+
+class _OneProfile:
+    """The slice of the experiment provider the miss-curve figures
+    read, holding one benchmark's profile."""
+
+    def __init__(self, profile: WorkloadProfile) -> None:
+        self.scale = profile.scale
+        self.aliases = (profile.spec.alias,)
+        self._profile = profile
+
+    def profile(self, alias: str) -> WorkloadProfile:
+        return self._profile
+
+    def profiles(self) -> list[WorkloadProfile]:
+        return [self._profile]
+
+
+def _config_label(job) -> str:
+    return f"{job.kind}@{job.tile_cache_bytes // 1024}KiB"
+
+
+def profile_benchmark(alias: str, scale: float = 0.2) -> dict[str, float]:
+    """Seconds per stage (plus ``replay:<config>`` per config) of one
+    benchmark's cold run."""
+    spec = BENCHMARKS[alias]
+    screen = DEFAULT_GPU.screen
+    timer = PhaseTimer()
+    with timer.phase("calibrate"):
+        generator = SceneGenerator(screen, scene_parameters(spec, scale))
+    with timer.phase("generate"):
+        scene = generator.generate(0)
+        tiling = TilingEngine(scene).trace()
+    background = BackgroundTrafficModel(spec, screen, scale=scale)
+    workload = Workload(spec=spec, screen=screen, scale=scale,
+                        scenes=[scene], traces=[tiling],
+                        background=background)
+    # Attribute the compile's background streams to their own stage.
+    for name in ("tile_stream", "primitive_stream"):
+        method = getattr(background, name)
+
+        def timed(*args, _method=method, **kwargs):
+            with timer.phase("compile_background"):
+                return _method(*args, **kwargs)
+
+        setattr(background, name, timed)
+    with timer.phase("compile"):
+        workload.compiled_trace = compile_workload(workload)
+    for job in enumerate_jobs(EXPERIMENT_VARIANTS, (alias,)):
+        with timer.phase(f"replay:{_config_label(job)}"):
+            simulate(workload, job.config, engine="replay")
+    with timer.phase("curves"):
+        provider = _OneProfile(WorkloadProfile.from_trace(
+            workload.compiled_trace, spec, screen, scale))
+        for figure in _CURVE_FIGURES:
+            figure.run(scale=scale, cache=provider)
+    seconds = dict(timer.seconds)
+    seconds["compile_events"] = (seconds.pop("compile")
+                                 - seconds["compile_background"])
+    seconds["replay"] = sum(value for name, value in seconds.items()
+                            if name.startswith("replay:"))
+    return seconds
 
 
 def profile_suite(aliases: tuple[str, ...] | None = None,
                   scale: float = 0.2,
-                  tile_cache_bytes: int = TILE_CACHE_SIZES["64KiB"],
                   profiler: cProfile.Profile | None = None) -> list[dict]:
-    """Time build/baseline/tcor per benchmark; returns one row each.
-
-    ``profiler``, when given, is enabled around the simulation phases
-    only so its output is not swamped by workload construction.
-    """
+    """:func:`profile_benchmark` per benchmark, one row each (with its
+    ``alias``); ``profiler``, when given, is enabled throughout."""
     rows = []
     for alias in aliases or BENCHMARK_ORDER:
-        timer = PhaseTimer()
-        with timer.phase("build"):
-            workload = build_workload(BENCHMARKS[alias], scale=scale)
         if profiler is not None:
             profiler.enable()
-        with timer.phase("baseline"):
-            simulate_baseline(workload, tile_cache_bytes=tile_cache_bytes)
-        with timer.phase("tcor"):
-            simulate_tcor(workload,
-                          tcor=TCORConfig.for_total_size(tile_cache_bytes))
-        if profiler is not None:
-            profiler.disable()
-        rows.append({
-            "alias": alias,
-            "build_s": timer.get("build"),
-            "baseline_s": timer.get("baseline"),
-            "tcor_s": timer.get("tcor"),
-        })
+        try:
+            seconds = profile_benchmark(alias, scale)
+        finally:
+            if profiler is not None:
+                profiler.disable()
+        rows.append({"alias": alias, **seconds})
     return rows
 
 
-def format_breakdown(rows: list[dict]) -> str:
-    """Fixed-width per-benchmark phase table with a totals row."""
-    headers = ["bench", "build_s", "baseline_s", "tcor_s", "total_s"]
-    table = [headers]
-    totals = {"build_s": 0.0, "baseline_s": 0.0, "tcor_s": 0.0}
-    for row in rows:
-        for key in totals:
-            totals[key] += row[key]
-        total = row["build_s"] + row["baseline_s"] + row["tcor_s"]
-        table.append([row["alias"], f"{row['build_s']:.2f}",
-                      f"{row['baseline_s']:.2f}", f"{row['tcor_s']:.2f}",
-                      f"{total:.2f}"])
-    table.append(["total", f"{totals['build_s']:.2f}",
-                  f"{totals['baseline_s']:.2f}", f"{totals['tcor_s']:.2f}",
-                  f"{sum(totals.values()):.2f}"])
-    widths = [max(len(row[col]) for row in table)
+def _table(headers: list[str], body: list[list[str]]) -> list[str]:
+    widths = [max(len(row[col]) for row in [headers] + body)
               for col in range(len(headers))]
-    lines = ["== simulator phase breakdown =="]
-    for index, row in enumerate(table):
-        lines.append("  ".join(cell.rjust(width)
-                               for cell, width in zip(row, widths)))
-        if index == 0:
-            lines.append("  ".join("-" * width for width in widths))
+    lines = ["  ".join(cell.rjust(width)
+                       for cell, width in zip(headers, widths)),
+             "  ".join("-" * width for width in widths)]
+    lines.extend("  ".join(cell.rjust(width)
+                           for cell, width in zip(row, widths))
+                 for row in body)
+    return lines
+
+
+def format_breakdown(rows: list[dict]) -> str:
+    """Per-benchmark stage table with a totals row, then the replay
+    seconds per config summed over the benchmarks."""
+    totals = {stage: sum(row[stage] for row in rows) for stage in STAGES}
+    body = [[row["alias"]] + [f"{row[stage]:.3f}" for stage in STAGES]
+            + [f"{sum(row[stage] for stage in STAGES):.3f}"]
+            for row in rows]
+    body.append(["total"] + [f"{totals[stage]:.3f}" for stage in STAGES]
+                + [f"{sum(totals.values()):.3f}"])
+    lines = ["== cold-run stage breakdown (seconds) =="]
+    lines += _table(["bench", *STAGES, "total"], body)
+    configs = [name for name in rows[0] if name.startswith("replay:")] \
+        if rows else []
+    lines.append("")
+    lines.append("== replay by config (seconds, all benchmarks) ==")
+    lines += _table(["config", "replay"], [
+        [name.split(":", 1)[1], f"{sum(row[name] for row in rows):.3f}"]
+        for name in configs])
     return "\n".join(lines)
 
 
@@ -115,24 +202,22 @@ def _top_functions(profiler: cProfile.Profile, limit: int = 20) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Per-phase timing of the TCOR simulator core")
+        description="Per-stage timing of a cold TCOR regeneration")
     parser.add_argument("--benchmarks", nargs="+", default=None,
+                        choices=BENCHMARK_ORDER, metavar="ALIAS",
                         help="benchmark aliases (default: all 10)")
     parser.add_argument("--scale", type=float, default=0.2,
                         help="geometry scale (1.0 = paper scale)")
-    parser.add_argument("--size", choices=sorted(TILE_CACHE_SIZES),
-                        default="64KiB", help="tile cache budget")
     parser.add_argument("--cprofile", action="store_true",
-                        help="also cProfile the simulation phases")
+                        help="also cProfile every stage")
     args = parser.parse_args(argv)
 
     aliases = tuple(args.benchmarks) if args.benchmarks else None
     profiler = cProfile.Profile() if args.cprofile else None
     rows = profile_suite(aliases=aliases, scale=args.scale,
-                         tile_cache_bytes=TILE_CACHE_SIZES[args.size],
                          profiler=profiler)
     print(format_breakdown(rows))
-    print(f"[scale {args.scale}, tile cache {args.size}]")
+    print(f"[scale {args.scale}]")
     if profiler is not None:
         print(_top_functions(profiler))
     return 0

@@ -79,22 +79,30 @@ def replay_allowed(obs: Observation | None = None) -> str | None:
 
 def observe_replay(obs: Observation, outcome: ReplayOutcome) -> None:
     """Register the replay's reconstructed stats under the live path's
-    metric names, so snapshots are byte-identical across engines."""
+    metric names, so snapshots are byte-identical across engines.
+
+    The order is the live path's too: the Rendering Elimination unit
+    and its rule first, then the L2 and main memory, the per-frame L1s,
+    and the PB counters with their rule.
+    """
     from repro.tcor.system import PB_ACCOUNTING_RULE
 
     registry = obs.registry
+    frame_stats = []
+    for prefix, stats in outcome.frame_stats:
+        if prefix == "live.re":
+            from repro.anim.elimination import RE_ACCOUNTING_RULE
+
+            stats.register(registry, prefix)
+            obs.expect_sum(*RE_ACCOUNTING_RULE)
+        else:
+            frame_stats.append((prefix, stats))
     outcome.l2_stats.register(registry, f"live.{outcome.l2_name}")
     outcome.memory.register(registry, "live.dram")
-    re_ran = False
-    for prefix, stats in outcome.frame_stats:
+    for prefix, stats in frame_stats:
         stats.register(registry, prefix)
-        re_ran = re_ran or prefix == "live.re"
     registry.count("live.system.pb_l2_reads",
                    outcome.counters["pb_l2_reads"])
     registry.count("live.system.pb_l2_writes",
                    outcome.counters["pb_l2_writes"])
     obs.expect_sum(*PB_ACCOUNTING_RULE)
-    if re_ran:
-        from repro.anim.elimination import RE_ACCOUNTING_RULE
-
-        obs.expect_sum(*RE_ACCOUNTING_RULE)

@@ -29,7 +29,6 @@ contiguous and interleaved, 64 KiB and 128 KiB alike.
 from __future__ import annotations
 
 import json
-from array import array
 
 import numpy as np
 
@@ -429,34 +428,9 @@ def compile_workload(workload: Workload) -> CompiledTrace:
     # Background traffic is frame-independent (stateless per-entity RNG),
     # so it is captured once at trace level and indexed by tile id /
     # primitive id during replay.
-    bg_tile_tag = array("q")
-    bg_tile_reg = array("q")
-    bg_tile_wr = array("q")
-    bg_tile_off = array("q", [0])
-    for tile_id in range(screen.num_tiles):
-        for access in background.tile_accesses(tile_id):
-            bg_tile_tag.append(access.address >> shift)
-            bg_tile_reg.append(int(access.region))
-            bg_tile_wr.append(int(access.op))
-        bg_tile_off.append(len(bg_tile_tag))
-    num_prims = max((frame_prims for frame_prims in
-                     (len(frame.attr_count) for frame in frames)),
-                    default=0)
-    bg_prim_tag = array("q")
-    bg_prim_reg = array("q")
-    bg_prim_wr = array("q")
-    bg_prim_off = array("q", [0])
-    for pid in range(num_prims):
-        for access in background.primitive_accesses(pid):
-            bg_prim_tag.append(access.address >> shift)
-            bg_prim_reg.append(int(access.region))
-            bg_prim_wr.append(int(access.op))
-        bg_prim_off.append(len(bg_prim_tag))
-
-    bg_tile_tag, bg_tile_reg, bg_tile_wr, bg_tile_off = map(
-        _np, (bg_tile_tag, bg_tile_reg, bg_tile_wr, bg_tile_off))
-    bg_prim_tag, bg_prim_reg, bg_prim_wr, bg_prim_off = map(
-        _np, (bg_prim_tag, bg_prim_reg, bg_prim_wr, bg_prim_off))
+    num_prims = max((len(frame.attr_count) for frame in frames), default=0)
+    tile_bg = background.tile_stream()
+    prim_bg = background.primitive_stream(num_prims)
     header = TraceHeader(
         alias=workload.spec.alias,
         scale=workload.scale,
@@ -477,8 +451,8 @@ def compile_workload(workload: Workload) -> CompiledTrace:
         raise ValueError("trace IR assumes 64-byte Parameter Buffer blocks")
     return CompiledTrace(
         header, frames,
-        bg_tile_tag, bg_tile_reg, bg_tile_wr, bg_tile_off,
-        bg_prim_tag, bg_prim_reg, bg_prim_wr, bg_prim_off,
+        tile_bg.address >> shift, tile_bg.region, tile_bg.op, tile_bg.offsets,
+        prim_bg.address >> shift, prim_bg.region, prim_bg.op, prim_bg.offsets,
     )
 
 

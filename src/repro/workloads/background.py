@@ -21,13 +21,25 @@ puts on the shared L2:
 
 All magnitudes scale with the workload's geometry ``scale`` so reduced
 test runs keep every traffic ratio.
+
+:meth:`~BackgroundTrafficModel.tile_accesses` and
+:meth:`~BackgroundTrafficModel.primitive_accesses` generate one entity
+at a time and are the reference (the live simulator calls them).
+:meth:`~BackgroundTrafficModel.tile_stream` and
+:meth:`~BackgroundTrafficModel.primitive_stream` produce the same
+accesses for every tile or primitive in one numpy pass over the
+rebuilt generators of :mod:`repro.workloads.pcg`; the trace compiler
+uses them.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.config import ScreenConfig
+from repro.workloads import pcg
 from repro.workloads.trace import Access, Op, Region
 
 MIB = 1024 * 1024
@@ -53,6 +65,33 @@ _VERTEX_L2_PER_PRIMITIVE = 1.0
 # Lossless framebuffer compression (AFBC-style) shrinks Color Buffer
 # flushes; mobile GPUs ship this generation of techniques alongside TBR.
 _FRAMEBUFFER_COMPRESSION = 0.55
+# Rebuilt generator words per numpy pass: bounds the tile pass's
+# temporaries (a few arrays of this many 64-bit words).
+_CHUNK_WORDS = 1 << 17
+
+
+class AccessArrays(NamedTuple):
+    """Many entities' accesses as flat int64 arrays, in entity order:
+    entity ``k`` owns positions ``offsets[k]`` to ``offsets[k + 1]``."""
+
+    address: np.ndarray
+    region: np.ndarray
+    op: np.ndarray
+    offsets: np.ndarray
+
+
+def _arrays_of(per_entity: list[list[Access]]) -> AccessArrays:
+    """Flatten per-entity access lists (the scalar path)."""
+    lengths = np.fromiter((len(accesses) for accesses in per_entity),
+                          dtype=np.int64, count=len(per_entity))
+    offsets = np.zeros(len(per_entity) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    flat = [access for accesses in per_entity for access in accesses]
+    return AccessArrays(
+        np.fromiter((a.address for a in flat), np.int64, len(flat)),
+        np.fromiter((a.region for a in flat), np.int64, len(flat)),
+        np.fromiter((a.op for a in flat), np.int64, len(flat)),
+        offsets)
 
 
 class BackgroundTrafficModel:
@@ -86,17 +125,29 @@ class BackgroundTrafficModel:
     # ------------------------------------------------------------------
     # Raster phase (per tile)
     # ------------------------------------------------------------------
+    def _window_bytes(self) -> int:
+        """Size of each tile's streaming window into texture space."""
+        return max(BLOCK, self.texture_bytes // self.screen.num_tiles * 4)
+
+    def _window_base(self, tile_id):
+        """Where a tile's window starts (an int, or an array of them)."""
+        tiles = self.screen.num_tiles
+        return TEXTURE_BASE + (
+            (tile_id * (self.texture_bytes // max(1, tiles)))
+            % max(BLOCK, self.texture_bytes - self._window_bytes() + BLOCK)
+        )
+
+    def _instruction_addresses(self) -> list[int]:
+        return [INSTRUCTION_BASE + (slot * BLOCK) % self.instruction_bytes
+                for slot in range(self.instruction_accesses_per_tile)]
+
     def tile_accesses(self, tile_id: int) -> list[Access]:
         """Texture + instruction L2 reads for rasterizing one tile."""
         rng = np.random.default_rng((self._seed, 1, tile_id))
         accesses: list[Access] = []
-        tiles = self.screen.num_tiles
         # Tile-correlated streaming window into texture space.
-        window_bytes = max(BLOCK, self.texture_bytes // tiles * 4)
-        window_base = TEXTURE_BASE + (
-            (tile_id * (self.texture_bytes // max(1, tiles)))
-            % max(BLOCK, self.texture_bytes - window_bytes + BLOCK)
-        )
+        window_bytes = self._window_bytes()
+        window_base = self._window_base(tile_id)
         for _ in range(self.texture_accesses_per_tile):
             if rng.random() < _HOT_FRACTION:
                 offset = int(rng.integers(0, self.hot_bytes // BLOCK))
@@ -105,11 +156,64 @@ class BackgroundTrafficModel:
                 offset = int(rng.integers(0, window_bytes // BLOCK))
                 address = window_base + offset * BLOCK
             accesses.append(Access(Op.READ, Region.TEXTURE, address))
-        for slot in range(self.instruction_accesses_per_tile):
-            offset = (slot * BLOCK) % self.instruction_bytes
-            accesses.append(Access(Op.READ, Region.INSTRUCTION,
-                                   INSTRUCTION_BASE + offset))
+        for address in self._instruction_addresses():
+            accesses.append(Access(Op.READ, Region.INSTRUCTION, address))
         return accesses
+
+    def tile_stream(self) -> AccessArrays:
+        """:meth:`tile_accesses` of every tile, in tile order.
+
+        Each tile's texture loop alternates ``random()`` (one 64-bit
+        word) and ``integers()`` (one buffered 32-bit half), so the
+        ``k``-th iteration reads word ``3 * (k // 2)`` (even ``k``) or
+        ``3 * (k // 2) + 2`` (odd ``k``) and the low or high half of
+        word ``3 * (k // 2) + 1``.  A tile whose ``integers()`` would
+        reject a half, and every tile of a model the rebuild does not
+        cover, comes from :meth:`tile_accesses`.
+        """
+        tiles = self.screen.num_tiles
+        textures = self.texture_accesses_per_tile
+        instructions = self._instruction_addresses()
+        per_tile = textures + len(instructions)
+        hot_bound = self.hot_bytes // BLOCK
+        window_bound = self._window_bytes() // BLOCK
+        if not (pcg.covered(self._seed) and pcg.covered(tiles - 1)
+                and 2 <= hot_bound <= pcg.MASK32
+                and 2 <= window_bound <= pcg.MASK32):
+            return _arrays_of([self.tile_accesses(tile)
+                               for tile in range(tiles)])
+        address = np.empty((tiles, per_tile), dtype=np.int64)
+        address[:, textures:] = instructions
+        region = np.empty((tiles, per_tile), dtype=np.int64)
+        region[:, :textures] = int(Region.TEXTURE)
+        region[:, textures:] = int(Region.INSTRUCTION)
+        op = np.full((tiles, per_tile), int(Op.READ), dtype=np.int64)
+
+        step = np.arange(textures)
+        odd = (step % 2).astype(bool)
+        pair = 3 * (step // 2)
+        words_per_tile = 3 * (textures // 2) + 2 * (textures % 2)
+        chunk = max(1, _CHUNK_WORDS // words_per_tile)
+        for start in range(0, tiles, chunk):
+            ids = np.arange(start, min(tiles, start + chunk))
+            words = pcg.raw_words(*pcg.seeded_states((self._seed, 1), ids),
+                                  words_per_tile)
+            hot = pcg.uniform(words[:, pair + 2 * odd]) < _HOT_FRACTION
+            shared = words[:, pair + 1]
+            halves = np.where(odd, shared >> np.uint64(32),
+                              shared & np.uint64(pcg.MASK32))
+            hot_offset, hot_rejected = pcg.lemire(halves, hot_bound)
+            window_offset, window_rejected = pcg.lemire(halves,
+                                                        window_bound)
+            address[start:start + len(ids), :textures] = np.where(
+                hot, TEXTURE_BASE + hot_offset * BLOCK,
+                self._window_base(ids)[:, None] + window_offset * BLOCK)
+            rejected = np.where(hot, hot_rejected, window_rejected)
+            for tile in ids[rejected.any(axis=1)].tolist():
+                row = _arrays_of([self.tile_accesses(tile)])
+                address[tile], region[tile], op[tile] = row[:3]
+        return AccessArrays(address.ravel(), region.ravel(), op.ravel(),
+                            np.arange(tiles + 1, dtype=np.int64) * per_tile)
 
     def framebuffer_writes_per_tile(self) -> int:
         """Color Buffer lines flushed to main memory per finished tile.
@@ -137,6 +241,32 @@ class BackgroundTrafficModel:
                        + ((primitive_id * 3 + i) * _VERTEX_BYTES) // BLOCK * BLOCK)
             accesses.append(Access(Op.READ, Region.VERTEX, address))
         return accesses
+
+    def primitive_stream(self, num_primitives: int) -> AccessArrays:
+        """:meth:`primitive_accesses` of primitives ``0 ..
+        num_primitives - 1``, in id order (each reads one word, its
+        ``random()``)."""
+        if not (pcg.covered(self._seed)
+                and pcg.covered(max(0, num_primitives - 1))):
+            return _arrays_of([self.primitive_accesses(pid)
+                               for pid in range(num_primitives)])
+        expected = _VERTEX_L2_PER_PRIMITIVE
+        draws = np.empty(num_primitives, dtype=np.float64)
+        for start in range(0, num_primitives, _CHUNK_WORDS):
+            ids = np.arange(start, min(num_primitives, start + _CHUNK_WORDS))
+            words = pcg.raw_words(*pcg.seeded_states((self._seed, 2), ids), 1)
+            draws[start:start + len(ids)] = pcg.uniform(words[:, 0])
+        count = int(expected) + (draws < expected % 1).astype(np.int64)
+        offsets = np.zeros(num_primitives + 1, dtype=np.int64)
+        np.cumsum(count, out=offsets[1:])
+        pid = np.repeat(np.arange(num_primitives, dtype=np.int64), count)
+        index = np.arange(len(pid), dtype=np.int64) - offsets[:-1][pid]
+        address = (VERTEX_BASE
+                   + ((pid * 3 + index) * _VERTEX_BYTES) // BLOCK * BLOCK)
+        return AccessArrays(address,
+                            np.full(len(pid), int(Region.VERTEX), np.int64),
+                            np.full(len(pid), int(Op.READ), np.int64),
+                            offsets)
 
     # ------------------------------------------------------------------
     # L1-level access estimates (energy accounting only)

@@ -233,6 +233,20 @@ class WorkloadIdentity:
                 "anim": anim}
 
 
+def scene_parameters(spec: BenchmarkSpec, scale: float = 1.0,
+                     pbuffer: ParameterBufferConfig | None = None
+                     ) -> SceneParameters:
+    """The scene generator's parameters for ``spec`` at ``scale``."""
+    return SceneParameters(
+        num_primitives=max(16, round(spec.num_primitives(pbuffer) * scale)),
+        target_reuse=spec.avg_reuse,
+        mean_attributes=spec.mean_attributes,
+        is_2d=spec.is_2d,
+        coverage_fraction=spec.coverage_fraction,
+        seed=spec.seed,
+    )
+
+
 def build_workload(spec: BenchmarkSpec, scale: float = 1.0, frames: int = 1,
                    screen: ScreenConfig | None = None,
                    order: TraversalOrder = TraversalOrder.Z_ORDER,
@@ -249,15 +263,7 @@ def build_workload(spec: BenchmarkSpec, scale: float = 1.0, frames: int = 1,
     if frames <= 0:
         raise ValueError("need at least one frame")
     screen = screen or DEFAULT_GPU.screen
-    num_primitives = max(16, round(spec.num_primitives(pbuffer) * scale))
-    generator = SceneGenerator(screen, SceneParameters(
-        num_primitives=num_primitives,
-        target_reuse=spec.avg_reuse,
-        mean_attributes=spec.mean_attributes,
-        is_2d=spec.is_2d,
-        coverage_fraction=spec.coverage_fraction,
-        seed=spec.seed,
-    ))
+    generator = SceneGenerator(screen, scene_parameters(spec, scale, pbuffer))
     scenes = [generator.generate(frame) for frame in range(frames)]
     traces = [TilingEngine(scene, order, pbuffer).trace() for scene in scenes]
     background = BackgroundTrafficModel(spec, screen, scale=scale)

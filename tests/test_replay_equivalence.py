@@ -239,12 +239,22 @@ class TestAnimatedMatrix:
             for re_on in (False, True):
                 config = SimulationConfig(kind=kind,
                                           rendering_elimination=re_on)
-                live = simulate(workload, config, engine="live")
-                replayed = simulate(workload, config, engine="replay")
+                live_obs = Observation(MetricsRegistry())
+                replay_obs = Observation(MetricsRegistry())
+                live = simulate(workload, config, engine="live",
+                                obs=live_obs)
+                replayed = simulate(workload, config, engine="replay",
+                                    obs=replay_obs)
                 label = f"{alias} f{frames} churn={churn} {kind} " \
                         f"re={re_on}"
                 _assert_results_equal(label, live.result, replayed.result)
                 _assert_metrics_equal(label, live, replayed)
+                # Both engines register their stats and attach their
+                # rules in one order: the snapshot lists every item,
+                # not only the region counters, in the same place.
+                assert list(live.metrics) == list(replayed.metrics), label
+                assert live_obs.registry.sum_rules() == \
+                    replay_obs.registry.sum_rules(), label
                 assert live.ok and replayed.ok
 
     def test_animated_trace_round_trips_with_signatures(self):
