@@ -38,7 +38,6 @@ from repro.geometry.generator import (SceneGenerator, fat_triangle,
 from repro.geometry.primitives import Primitive
 from repro.geometry.scene import Scene
 from repro.geometry.traversal import TraversalOrder
-from repro.tiling.engine import TilingEngine
 from repro.workloads.suite import (
     BenchmarkSpec,
     Workload,
@@ -128,7 +127,7 @@ def build_animated_workload(
     """A coherent multi-frame :class:`Workload` for one benchmark.
 
     The returned workload is structurally identical to the suite's —
-    same spec, screen, background model, one trace per frame — so every
+    same spec, screen, background model, one scene per frame — so every
     consumer (live simulator, trace compiler, energy model) works
     unchanged; the workload additionally records ``anim`` so caches and
     the serve layer can key on the sequence recipe.
@@ -191,10 +190,7 @@ def build_animated_workload(
                                   for prim in staged)
         scenes.append(Scene(screen, primitives, draws))
 
-    traces = [TilingEngine(scene, order, pbuffer).trace()
-              for scene in scenes]
     background = BackgroundTrafficModel(spec, screen, scale=scale)
-    workload = Workload(spec=spec, screen=screen, scale=scale,
-                        scenes=scenes, traces=traces, background=background)
-    workload.anim = anim
-    return workload
+    return Workload(spec=spec, screen=screen, scale=scale, scenes=scenes,
+                    background=background, order=order, pbuffer=pbuffer,
+                    anim=anim)

@@ -221,11 +221,14 @@ def _check_finite(coords: np.ndarray) -> None:
 def _tile_span(low: np.ndarray, high: np.ndarray, extent: int,
                tile_size: int, tiles: int) -> tuple[np.ndarray, np.ndarray]:
     """First and last tile index each bbox axis range touches, as
-    ``max(0, int(low) // tile_size)`` and
-    ``min(tiles - 1, int(high) // tile_size)``.  Clamping to
-    ``[-1, extent]`` first keeps the int64 cast exact and changes no
-    result on a visible bbox."""
-    first = np.maximum(np.maximum(low, -1.0).astype(np.int64) // tile_size, 0)
+    ``max(0, ceil(low / tile_size) - 1)`` and
+    ``min(tiles - 1, int(high) // tile_size)``.  Both ends are closed:
+    a tile whose far edge lies on ``low`` is a candidate, as one whose
+    near edge lies on ``high`` is.  Clamping to ``[-1, extent]`` first
+    keeps the int64 cast exact and changes no result on a visible
+    bbox."""
+    first = np.maximum(
+        np.ceil(np.maximum(low, -1.0) / tile_size).astype(np.int64) - 1, 0)
     last = np.minimum(
         np.minimum(high, float(extent)).astype(np.int64) // tile_size,
         tiles - 1)
@@ -289,17 +292,28 @@ def bin_triangles(xs, ys,
     return counts, np.concatenate(hit_tiles)
 
 
-def bin_primitives(primitives: Sequence[Primitive],
-                   screen: ScreenConfig) -> list[list[int]]:
-    """Row-major IDs of the tiles each primitive overlaps, in one
-    :func:`bin_triangles` call."""
+def bin_primitive_arrays(primitives: Sequence[Primitive],
+                         screen: ScreenConfig
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`bin_triangles` over primitives: ``(counts, tiles)``."""
     xs = [(p.v0.x, p.v1.x, p.v2.x) for p in primitives]
     ys = [(p.v0.y, p.v1.y, p.v2.y) for p in primitives]
-    counts, tiles = bin_triangles(xs, ys, screen)
+    return bin_triangles(xs, ys, screen)
+
+
+def coverage_lists(counts: np.ndarray, tiles: np.ndarray) -> list[list[int]]:
+    """:func:`bin_triangles`' arrays as one tile list per triangle."""
     flat = tiles.tolist()
     ends = np.cumsum(counts).tolist()
     return [flat[end - count:end]
             for count, end in zip(counts.tolist(), ends)]
+
+
+def bin_primitives(primitives: Sequence[Primitive],
+                   screen: ScreenConfig) -> list[list[int]]:
+    """Row-major IDs of the tiles each primitive overlaps, in one
+    :func:`bin_triangles` call."""
+    return coverage_lists(*bin_primitive_arrays(primitives, screen))
 
 
 def tiles_overlapped_by(prim: Primitive, screen: ScreenConfig) -> list[int]:

@@ -9,10 +9,12 @@ OPT numbers, footprint statistics) derives from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.config import ParameterBufferConfig, ScreenConfig
-from repro.geometry.overlap import bin_primitives
+from repro.geometry.overlap import bin_primitive_arrays, coverage_lists
 from repro.geometry.primitives import Primitive
 
 
@@ -59,6 +61,7 @@ class Scene:
                 [DrawCommand(0, len(primitives))] if primitives else []
             )
         self.draw_commands = draw_commands
+        self._binning: tuple[np.ndarray, np.ndarray] | None = None
         self._coverage: list[list[int]] | None = None
 
     def __len__(self) -> int:
@@ -67,25 +70,35 @@ class Scene:
     # ------------------------------------------------------------------
     # Binning
     # ------------------------------------------------------------------
+    def binning(self) -> tuple[np.ndarray, np.ndarray]:
+        """The frame's :func:`~repro.geometry.overlap.bin_triangles`
+        arrays ``(counts, tiles)``: how many tiles each primitive
+        overlaps, and every primitive's row-major tile IDs, primitive by
+        primitive.  Computed once, in one batched binning pass."""
+        if self._binning is None:
+            self._binning = bin_primitive_arrays(self.primitives,
+                                                 self.screen)
+        return self._binning
+
     def coverage(self) -> list[list[int]]:
         """Per-primitive list of overlapped tile IDs (row-major).
 
-        Computed once (the whole frame in one batched binning pass) and
-        cached; order within each list is row-major, which is *not* the
+        Cached; order within each list is row-major, which is *not* the
         traversal order — callers that need traversal ordering re-sort by
         rank.
         """
         if self._coverage is None:
-            self._coverage = bin_primitives(self.primitives, self.screen)
+            self._coverage = coverage_lists(*self.binning())
         return self._coverage
 
     def tile_lists(self) -> list[list[int]]:
         """Per-tile list of primitive IDs in program order (the PB-Lists)."""
-        lists: list[list[int]] = [[] for _ in range(self.screen.num_tiles)]
-        for prim_id, tiles in enumerate(self.coverage()):
-            for tile_id in tiles:
-                lists[tile_id].append(prim_id)
-        return lists
+        counts, tiles = self.binning()
+        pids = np.repeat(np.arange(len(counts)), counts)
+        flat = pids[np.argsort(tiles, kind="stable")].tolist()
+        lengths = np.bincount(tiles, minlength=self.screen.num_tiles)
+        return [flat[end - length:end] for end, length in zip(
+            np.cumsum(lengths).tolist(), lengths.tolist())]
 
     # ------------------------------------------------------------------
     # Statistics (the Table II columns)

@@ -26,8 +26,6 @@ import json
 import os
 import threading
 import typing
-import zipfile
-import zlib
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -78,11 +76,15 @@ _TRACE_SOURCES = (
     "workloads",
 )
 
-# Compiled traces are big (npz archives, not counter records), so the
-# trace store is capped: least-recently-used archives are evicted once
-# the total size passes the budget.
+# Compiled traces are big (flat arrays, not counter records), so the
+# trace store is capped: least-recently-used trace files are evicted
+# once the total size passes the budget.
 _TRACE_CACHE_BYTES_ENV = envvars.TRACE_CACHE_BYTES
 DEFAULT_TRACE_CACHE_BYTES = 512 * 1024 * 1024
+# Trace files: today's (``save_trace``'s flat format) and the npz
+# archives of IR versions before 3, which no reader opens but the cap
+# and ``clear()`` still count and delete.
+_TRACE_GLOBS = ("trace-*.ir", "trace-*.npz")
 
 
 def _tree_signature(root: Path, names: tuple[str, ...]) -> str:
@@ -324,22 +326,21 @@ class DiskCache:
         # leave compiled traces warm.
         key = _digest(self.trace_signature,
                       {"kind": "trace", "workload": identity.payload()})
-        return self.directory / f"trace-{key}.npz"
+        return self.directory / f"trace-{key}.ir"
 
     def get_trace(self, identity: WorkloadIdentity):
         """The persisted compiled trace of ``identity``, or ``None``.
 
-        Any failure (missing file, torn or truncated archive, IR
-        version mismatch) degrades to a cache miss, so the caller
-        recompiles and overwrites the archive."""
+        Any failure (missing file; a torn, truncated or corrupted file,
+        which fails its CRC-32; an IR version mismatch) degrades to a
+        cache miss, so the caller recompiles and overwrites the file."""
         from repro.replay import load_trace
 
         path = self._trace_path(identity)
         try:
             with open(path, "rb") as handle:
                 trace = load_trace(handle)
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile,
-                zlib.error):
+        except (OSError, ValueError):
             self.misses += 1
             return None
         try:
@@ -372,14 +373,14 @@ class DiskCache:
         self._enforce_trace_cap(keep=path)
 
     def _enforce_trace_cap(self, keep: Path) -> int:
-        """Evict least-recently-used trace archives over the budget.
+        """Evict least-recently-used trace files over the budget.
 
-        The just-written archive is always spared (evicting it would
+        The just-written file is always spared (evicting it would
         defeat the write), so a single trace larger than the whole
         budget still persists.  Returns the number evicted."""
         try:
-            archives = [(path, path.stat()) for path
-                        in self.directory.glob("trace-*.npz")]
+            archives = [(path, path.stat()) for pattern in _TRACE_GLOBS
+                        for path in self.directory.glob(pattern)]
         except OSError:
             return 0
         total = sum(stat.st_size for _, stat in archives)
@@ -437,7 +438,7 @@ class DiskCache:
         returns the number removed."""
         removed = 0
         if self.directory.is_dir():
-            for pattern in ("*.json", "trace-*.npz"):
+            for pattern in ("*.json",) + _TRACE_GLOBS:
                 for path in self.directory.glob(pattern):
                     try:
                         path.unlink()

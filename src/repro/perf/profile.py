@@ -7,13 +7,16 @@ Usage::
 
 For every benchmark the harness runs what a cold regeneration
 (``tcor-experiments --all --no-disk-cache``) runs for it, in one
-process and without memos or stores, and times each stage:
+process and without stores, and times each stage:
 
-- ``calibrate``: the scene generator's extent calibration;
-- ``generate``: frame 0's scene generation plus binning (the Tiling
-  Engine's Parameter Buffer and event streams);
-- ``compile``: lowering into the replay IR, split into the event
-  streams and the background stream
+- ``calibrate``: the scene generator's extent calibration, run cold:
+  the process's calibration memo
+  (:func:`~repro.geometry.generator.calibrated_extent`) is cleared
+  first;
+- ``generate``: frame 0's scene generation;
+- ``lower``: the frame's binning and its numpy lowering into the replay
+  IR (:func:`~repro.replay.ir.lower_frame`; no Tiling Engine runs);
+- ``background``: the background stream the compile adds
   (:meth:`~repro.workloads.background.BackgroundTrafficModel.tile_stream`
   and ``primitive_stream``);
 - ``replay``: one replayed simulation per suite config, the six cells
@@ -45,10 +48,9 @@ from repro.experiments import (
     fig13_policies,
     lookahead_gap,
 )
-from repro.geometry.generator import SceneGenerator
+from repro.geometry.generator import SceneGenerator, calibrated_extent
 from repro.parallel.engine import EXPERIMENT_VARIANTS, enumerate_jobs
 from repro.replay import compile_workload
-from repro.tiling.engine import TilingEngine
 from repro.workloads.background import BackgroundTrafficModel
 from repro.workloads.suite import (
     BENCHMARK_ORDER,
@@ -58,8 +60,8 @@ from repro.workloads.suite import (
     scene_parameters,
 )
 
-STAGES = ("calibrate", "generate", "compile_events", "compile_background",
-          "replay", "curves")
+STAGES = ("calibrate", "generate", "lower", "background", "replay",
+          "curves")
 _CURVE_FIGURES = (fig01_intro_gap, fig11_lower_bound, fig12_associativity,
                   fig13_policies, lookahead_gap)
 
@@ -106,21 +108,20 @@ def profile_benchmark(alias: str, scale: float = 0.2) -> dict[str, float]:
     spec = BENCHMARKS[alias]
     screen = DEFAULT_GPU.screen
     timer = PhaseTimer()
+    calibrated_extent.cache_clear()
     with timer.phase("calibrate"):
         generator = SceneGenerator(screen, scene_parameters(spec, scale))
     with timer.phase("generate"):
         scene = generator.generate(0)
-        tiling = TilingEngine(scene).trace()
     background = BackgroundTrafficModel(spec, screen, scale=scale)
     workload = Workload(spec=spec, screen=screen, scale=scale,
-                        scenes=[scene], traces=[tiling],
-                        background=background)
+                        scenes=[scene], background=background)
     # Attribute the compile's background streams to their own stage.
     for name in ("tile_stream", "primitive_stream"):
         method = getattr(background, name)
 
         def timed(*args, _method=method, **kwargs):
-            with timer.phase("compile_background"):
+            with timer.phase("background"):
                 return _method(*args, **kwargs)
 
         setattr(background, name, timed)
@@ -135,8 +136,7 @@ def profile_benchmark(alias: str, scale: float = 0.2) -> dict[str, float]:
         for figure in _CURVE_FIGURES:
             figure.run(scale=scale, cache=provider)
     seconds = dict(timer.seconds)
-    seconds["compile_events"] = (seconds.pop("compile")
-                                 - seconds["compile_background"])
+    seconds["lower"] = seconds.pop("compile") - seconds["background"]
     seconds["replay"] = sum(value for name, value in seconds.items()
                             if name.startswith("replay:"))
     return seconds

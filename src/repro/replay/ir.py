@@ -4,8 +4,10 @@ The paper's enabling observation — the Parameter Buffer stream is fully
 determined before any cache sees it — means a workload's entire access
 sequence can be lowered *once* into flat parallel arrays and then
 replayed through any number of cache configurations.  This module is the
-compiler half: :func:`compile_workload` walks the Tiling Engine event
-stream and the background traffic model exactly once and captures
+compiler half: :func:`compile_workload` lowers every frame straight from
+its scene's binning arrays (:meth:`~repro.geometry.scene.Scene.binning`)
+and the fixed tile traversal order, in numpy, as the Polygon List
+Builder derives them, and captures
 
 - per frame, the build/fetch event streams as parallel ``kind`` +
   operand arrays (tile/position for PMD traffic, primitive id /
@@ -20,6 +22,11 @@ stream and the background traffic model exactly once and captures
   constants) so persisted traces are content-addressed by the PR 2
   code-signature scheme (see ``DiskCache.get_trace``).
 
+The lowering builds no ``ParameterBuffer`` and no Tiling Engine event
+object: the frame it produces equals, field for field, the one the
+event walk over ``Workload.traces`` gives, which stays the reference
+(tests/test_lowering.py).
+
 Everything configuration-*dependent* (PB-Lists layout, set counts,
 indexing functions) is resolved lazily by the memoized view helpers the
 replay kernels call, so one compiled trace serves baseline and TCOR,
@@ -29,15 +36,23 @@ contiguous and interleaved, 64 KiB and 128 KiB alike.
 from __future__ import annotations
 
 import json
+import struct
+import zlib
 
 import numpy as np
 
+from repro.config import ParameterBufferConfig
+from repro.geometry.scene import Scene
+from repro.geometry.traversal import (TraversalOrder, tile_traversal,
+                                      traversal_rank)
+from repro.pbuffer.pmd import NO_NEXT_TILE
 from repro.workloads.suite import Workload
 
 # Bump whenever the IR layout changes; persisted traces with another
 # version fail to load (treated as a cache miss by DiskCache.get_trace).
 # v2: per-frame ``tile_sig`` arrays (Rendering Elimination signatures).
-TRACE_IR_VERSION = 2
+# v3: one flat little-endian file behind a JSON header and a CRC-32.
+TRACE_IR_VERSION = 3
 
 
 def trace_ir_compatible(theirs) -> bool:
@@ -333,102 +348,115 @@ class CompiledTrace:
 # ----------------------------------------------------------------------
 # Compilation
 # ----------------------------------------------------------------------
-def compile_workload(workload: Workload) -> CompiledTrace:
-    """Lower a workload into the IR (one pass over events + background)."""
-    # Imported here so the IR module itself stays importable without the
-    # full simulator (e.g. when only loading persisted traces).
+def _kinds(pattern: tuple[int, ...], runs: np.ndarray,
+           mark: int) -> list:
+    """An event-kind stream: ``runs[i]`` repeats of ``pattern`` and then
+    one ``mark``, for each ``i``."""
+    body = np.tile(np.array(pattern, dtype=_I64), int(runs.sum()))
+    return np.insert(body, np.cumsum(runs * len(pattern)), mark).tolist()
+
+
+def lower_frame(scene: Scene,
+                order: TraversalOrder = TraversalOrder.Z_ORDER,
+                pbuffer: ParameterBufferConfig | None = None) -> FrameIR:
+    """One frame's IR from its binning arrays and the traversal order.
+
+    The Polygon List Builder appends each binned primitive's PMDs in
+    its row-major tile order, then writes its attributes; a PMD's
+    position is the number of earlier primitives on its tile, and its
+    OPT Number the next greater traversal rank among the primitive's
+    tiles.  The Tile Fetcher reads every tile's list in traversal order
+    and closes each tile with a ``TileDone``.  Raises the Parameter
+    Buffer's ``OverflowError`` when a tile's list outgrows
+    ``pbuffer.max_primitives_per_tile``.
+    """
     from repro.anim.signatures import tile_signatures
-    from repro.tiling.events import (
-        AttributeRead,
-        AttributeWrite,
-        PmdRead,
-        PmdWrite,
-        TileDone,
+
+    pbuffer = pbuffer or ParameterBufferConfig()
+    screen = scene.screen
+    num_tiles = screen.num_tiles
+    counts, tiles = scene.binning()
+    nattr = np.fromiter((prim.num_attributes for prim in scene.primitives),
+                        dtype=_I64, count=len(scene))
+    if (nattr <= 0).any():
+        raise ValueError("every primitive has at least one attribute")
+    rank = _np(traversal_rank(screen, order))
+    traversal = _np(tile_traversal(screen, order))
+
+    # Pairs (primitive, tile) in binning order, and each PMD's position.
+    pair_pid = np.repeat(np.arange(len(counts), dtype=_I64), counts)
+    list_len = np.bincount(tiles, minlength=num_tiles)
+    by_tile = np.argsort(tiles, kind="stable")
+    position = np.empty_like(tiles)
+    position[by_tile] = (np.arange(len(tiles), dtype=_I64)
+                         - np.repeat(np.cumsum(list_len) - list_len,
+                                     list_len))
+    limit = pbuffer.max_primitives_per_tile
+    overflow = np.flatnonzero(position >= limit)
+    if overflow.size:
+        raise OverflowError(f"tile {int(tiles[overflow[0]])} exceeds the "
+                            f"{limit}-primitive list limit")
+
+    # Per primitive, its tiles by traversal rank: OPT Numbers, and the
+    # first-use and last-use ranks of every binned primitive.
+    pair_rank = rank[tiles]
+    by_use = np.argsort(pair_pid * num_tiles + pair_rank)
+    use_rank = pair_rank[by_use]
+    use_pid = pair_pid[by_use]
+    next_rank = np.full(len(tiles), NO_NEXT_TILE, dtype=_I64)
+    same = use_pid[1:] == use_pid[:-1]
+    next_rank[:-1][same] = use_rank[1:][same]
+    opt = np.empty_like(next_rank)
+    opt[by_use] = next_rank
+    binned = np.flatnonzero(counts)
+    ends = np.cumsum(counts[binned])
+    first_use = use_rank[ends - counts[binned]]
+    last_use = use_rank[ends - 1]
+    last_of = np.full(len(counts), NO_NEXT_TILE, dtype=_I64)
+    last_of[binned] = last_use
+
+    # The Tile Fetcher's order: traversal rank, then list position.
+    by_fetch = np.argsort(pair_rank, kind="stable")
+    fetch_pid = pair_pid[by_fetch]
+    fetched = list_len[traversal]
+
+    stride = pbuffer.attribute_stride
+    attr_base = (pbuffer.pb_attributes_pointer
+                 + np.cumsum(nattr * stride) - nattr * stride)
+    return FrameIR(
+        _kinds((BUILD_PMD_WRITE,), counts[binned], BUILD_ATTR_WRITE),
+        tiles.tolist(), position.tolist(),
+        binned.tolist(), nattr[binned].tolist(), first_use.tolist(),
+        last_use.tolist(),
+        _kinds((FETCH_PMD_READ, FETCH_ATTR_READ), fetched, FETCH_TILE_DONE),
+        tiles[by_fetch].tolist(), position[by_fetch].tolist(),
+        fetch_pid.tolist(), nattr[fetch_pid].tolist(),
+        opt[by_fetch].tolist(), last_of[fetch_pid].tolist(),
+        traversal.tolist(), list(range(num_tiles)),
+        (fetched > 0).astype(_I64).tolist(),
+        attr_base.tolist(), nattr.tolist(), rank.tolist(),
+        tile_signatures(scene),
     )
 
+
+def compile_workload(workload: Workload) -> CompiledTrace:
+    """Lower a workload into the IR: :func:`lower_frame` per scene,
+    plus the background stream."""
     screen = workload.screen
     background = workload.background
-    shift = 6  # 64-byte blocks; asserted against the config below.
-
-    if len(workload.scenes) != len(workload.traces):
-        raise ValueError("workload scenes and traces disagree on frames")
-    frames = []
-    pbuffer = None
-    for scene, trace in zip(workload.scenes, workload.traces):
-        pb = trace.pb
-        pbuffer = pb.pbuffer
-        build_kind: list = []
-        bp_tile: list = []
-        bp_pos: list = []
-        bw_pid: list = []
-        bw_nattr: list = []
-        bw_opt: list = []
-        bw_last: list = []
-        for event in trace.build_events:
-            if type(event) is PmdWrite:
-                build_kind.append(BUILD_PMD_WRITE)
-                bp_tile.append(event.tile_id)
-                bp_pos.append(event.position)
-            elif type(event) is AttributeWrite:
-                build_kind.append(BUILD_ATTR_WRITE)
-                bw_pid.append(event.primitive_id)
-                bw_nattr.append(event.num_attributes)
-                bw_opt.append(event.opt_number)
-                bw_last.append(event.last_use_rank)
-            else:  # pragma: no cover - the builder emits only these two
-                raise TypeError(f"unknown build event {event!r}")
-        fetch_kind: list = []
-        fp_tile: list = []
-        fp_pos: list = []
-        fr_pid: list = []
-        fr_nattr: list = []
-        fr_opt: list = []
-        fr_last: list = []
-        td_tile: list = []
-        td_rank: list = []
-        td_fb: list = []
-        for event in trace.fetch_events:
-            if type(event) is PmdRead:
-                fetch_kind.append(FETCH_PMD_READ)
-                fp_tile.append(event.tile_id)
-                fp_pos.append(event.position)
-            elif type(event) is AttributeRead:
-                fetch_kind.append(FETCH_ATTR_READ)
-                fr_pid.append(event.primitive_id)
-                fr_nattr.append(event.num_attributes)
-                fr_opt.append(event.opt_number)
-                fr_last.append(event.last_use_rank)
-            elif type(event) is TileDone:
-                fetch_kind.append(FETCH_TILE_DONE)
-                td_tile.append(event.tile_id)
-                td_rank.append(event.tile_rank)
-                td_fb.append(1 if pb.list_length(event.tile_id) else 0)
-            else:  # pragma: no cover - the fetcher emits only these three
-                raise TypeError(f"unknown fetch event {event!r}")
-        attrs = pb.attributes
-        attr_base = [attrs.primitive_base(pid)
-                     for pid in range(attrs.num_primitives)]
-        attr_count = [attrs.attribute_count(pid)
-                      for pid in range(attrs.num_primitives)]
-        rank_of_tile = [pb.rank_of_tile[tile]
-                        for tile in range(screen.num_tiles)]
-        frames.append(FrameIR(
-            build_kind, bp_tile, bp_pos,
-            bw_pid, bw_nattr, bw_opt, bw_last,
-            fetch_kind, fp_tile, fp_pos,
-            fr_pid, fr_nattr, fr_opt, fr_last,
-            td_tile, td_rank, td_fb,
-            attr_base, attr_count, rank_of_tile,
-            tile_signatures(scene),
-        ))
-
-    if pbuffer is None:
-        raise ValueError("workload has no traces to compile")
+    pbuffer = workload.pbuffer or ParameterBufferConfig()
+    shift = 6  # 64-byte blocks
+    if pbuffer.block_bytes != 1 << shift:
+        raise ValueError("trace IR assumes 64-byte Parameter Buffer blocks")
+    if not workload.scenes:
+        raise ValueError("workload has no frames to compile")
+    frames = [lower_frame(scene, workload.order, pbuffer)
+              for scene in workload.scenes]
 
     # Background traffic is frame-independent (stateless per-entity RNG),
     # so it is captured once at trace level and indexed by tile id /
     # primitive id during replay.
-    num_prims = max((len(frame.attr_count) for frame in frames), default=0)
+    num_prims = max(len(frame.attr_count) for frame in frames)
     tile_bg = background.tile_stream()
     prim_bg = background.primitive_stream(num_prims)
     header = TraceHeader(
@@ -447,8 +475,6 @@ def compile_workload(workload: Workload) -> CompiledTrace:
         l1_estimates=background.l1_access_estimates(
             workload.num_primitives),
     )
-    if header.block_bytes != 1 << shift:
-        raise ValueError("trace IR assumes 64-byte Parameter Buffer blocks")
     return CompiledTrace(
         header, frames,
         tile_bg.address >> shift, tile_bg.region, tile_bg.op, tile_bg.offsets,
@@ -466,7 +492,7 @@ def compiled_trace_for(workload: Workload) -> CompiledTrace:
 
 
 # ----------------------------------------------------------------------
-# Serialization (npz: one compressed archive of int64 arrays + JSON meta)
+# Serialization: one flat file, checksummed
 # ----------------------------------------------------------------------
 _FRAME_FIELDS = (
     "build_kind", "bp_tile", "bp_pos",
@@ -481,41 +507,88 @@ _TRACE_FIELDS = (
     "bg_prim_tag", "bg_prim_reg", "bg_prim_wr", "bg_prim_off",
 )
 
+# File layout: magic and header length (``_PREFIX``), the JSON header,
+# the sections' little-endian integers back to back, then the CRC-32 of
+# everything before it (``_CRC``).  The header names each section's
+# dtype and length, in file order.
+_MAGIC = b"TCORTIR\n"
+_PREFIX = struct.Struct("<8sI")
+_CRC = struct.Struct("<I")
+_DTYPES = ("i1", "i2", "i4", "i8")
+
+
+def _narrowest(values) -> np.ndarray:
+    """``values`` in the narrowest little-endian integer dtype that
+    holds them all."""
+    array = _np(values)
+    low, high = (int(array.min()), int(array.max())) if len(array) \
+        else (0, 0)
+    for code in _DTYPES[:-1]:
+        info = np.iinfo(code)
+        if info.min <= low and high <= info.max:
+            return array.astype("<" + code)
+    return array.astype("<i8")
+
 
 def save_trace(file, trace: CompiledTrace) -> None:
-    """Serialize to an open binary file handle (or path)."""
+    """Serialize to an open binary file handle."""
+    sections = [(name, getattr(trace, name)) for name in _TRACE_FIELDS]
+    for index, frame in enumerate(trace.frames):
+        sections += [(f"f{index}_{name}", getattr(frame, name))
+                     for name in _FRAME_FIELDS]
+    arrays = [_narrowest(values) for _, values in sections]
     meta = {
         "version": TRACE_IR_VERSION,
         "header": trace.header.as_dict(),
         "num_frames": len(trace.frames),
+        "sections": [[name, array.dtype.str[1:], len(array)]
+                     for (name, _), array in zip(sections, arrays)],
     }
-    arrays = {
-        "meta_json": np.frombuffer(
-            json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
-        ),
-    }
-    for name in _TRACE_FIELDS:
-        arrays[name] = _np(getattr(trace, name))
-    for index, frame in enumerate(trace.frames):
-        for name in _FRAME_FIELDS:
-            arrays[f"f{index}_{name}"] = _np(getattr(frame, name))
-    np.savez_compressed(file, **arrays)
+    head = json.dumps(meta, sort_keys=True).encode("utf-8")
+    body = b"".join([_PREFIX.pack(_MAGIC, len(head)), head]
+                    + [array.tobytes() for array in arrays])
+    file.write(body)
+    file.write(_CRC.pack(zlib.crc32(body)))
 
 
 def load_trace(file) -> CompiledTrace:
-    """Deserialize; raises ``ValueError`` on a version mismatch."""
-    with np.load(file) as archive:
-        meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
-        if not trace_ir_compatible(meta.get("version")):
+    """Deserialize from an open binary file handle.
+
+    Raises ``ValueError`` for anything but a whole file of the current
+    version: a wrong magic, a checksum mismatch (a torn, truncated or
+    corrupted file), a malformed header or an IR version mismatch.
+    """
+    data = file.read()
+    body_end = len(data) - _CRC.size
+    if body_end < _PREFIX.size:
+        raise ValueError("trace file truncated")
+    magic, head_len = _PREFIX.unpack_from(data)
+    if magic != _MAGIC:
+        raise ValueError("not a compiled trace file")
+    (crc,) = _CRC.unpack_from(data, body_end)
+    if zlib.crc32(memoryview(data)[:body_end]) != crc:
+        raise ValueError("trace file checksum mismatch")
+    offset = _PREFIX.size + head_len
+    try:
+        meta = json.loads(data[_PREFIX.size:offset].decode("utf-8"))
+        version = meta.get("version")
+        if not trace_ir_compatible(version):
             raise ValueError(
-                f"trace IR version {meta.get('version')} != "
-                f"{TRACE_IR_VERSION}"
-            )
+                f"trace IR version {version} != {TRACE_IR_VERSION}")
+        arrays = {}
+        for name, code, count in meta["sections"]:
+            if code not in _DTYPES:
+                raise ValueError(f"unknown section dtype {code!r}")
+            arrays[name] = np.frombuffer(data, "<" + code, count, offset)
+            offset += arrays[name].nbytes
+        if offset != body_end:
+            raise ValueError("trace sections do not fill the file")
         header = TraceHeader(**meta["header"])
-        frames = []
-        for index in range(meta["num_frames"]):
-            fields = {name: archive[f"f{index}_{name}"].tolist()
-                      for name in _FRAME_FIELDS}
-            frames.append(FrameIR(**fields))
-        trace_fields = {name: archive[name] for name in _TRACE_FIELDS}
+        frames = [FrameIR(**{name: arrays[f"f{index}_{name}"].tolist()
+                             for name in _FRAME_FIELDS})
+                  for index in range(meta["num_frames"])]
+        trace_fields = {name: arrays[name].astype(_I64)
+                        for name in _TRACE_FIELDS}
+    except (AttributeError, KeyError, TypeError) as error:
+        raise ValueError(f"malformed trace header: {error!r}") from error
     return CompiledTrace(header, frames, **trace_fields)

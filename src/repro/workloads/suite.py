@@ -94,14 +94,17 @@ BENCHMARK_ORDER: tuple[str, ...] = tuple(spec.alias for spec in _SPECS)
 
 @dataclass
 class Workload:
-    """A benchmark instantiated at some scale: frames + their traces."""
+    """A benchmark instantiated at some scale: its frames, binned under
+    ``order`` into a Parameter Buffer laid out by ``pbuffer`` (``None``
+    is the default layout)."""
 
     spec: BenchmarkSpec
     screen: ScreenConfig
     scale: float
     scenes: list[Scene]
-    traces: list[TilingTrace]
     background: "BackgroundTrafficModel"
+    order: TraversalOrder = TraversalOrder.Z_ORDER
+    pbuffer: ParameterBufferConfig | None = None
     # Memoized access-trace IR (repro.replay); compiled on first use so
     # every configuration replayed against this workload shares it.
     compiled_trace: object | None = field(default=None, repr=False,
@@ -110,6 +113,20 @@ class Workload:
     # None for the suite's independently-reseeded frames.  Part of the
     # workload's identity: caches key compiled traces and results on it.
     anim: object | None = None
+    _traces: list[TilingTrace] | None = field(default=None, init=False,
+                                              repr=False, compare=False)
+
+    @property
+    def traces(self) -> list[TilingTrace]:
+        """One Tiling Engine trace per frame: the Parameter Buffer and
+        both phases' event objects.  Built on first read; only the live
+        simulator and the reference derivations read them, since the
+        replay IR is lowered from the scenes' binning directly."""
+        if self._traces is None:
+            self._traces = [TilingEngine(scene, self.order,
+                                         self.pbuffer).trace()
+                            for scene in self.scenes]
+        return self._traces
 
     @property
     def num_primitives(self) -> int:
@@ -117,7 +134,7 @@ class Workload:
 
     @property
     def num_frames(self) -> int:
-        return len(self.traces)
+        return len(self.scenes)
 
     def measured_reuse(self) -> float:
         return self.scenes[0].average_reuse()
@@ -265,7 +282,6 @@ def build_workload(spec: BenchmarkSpec, scale: float = 1.0, frames: int = 1,
     screen = screen or DEFAULT_GPU.screen
     generator = SceneGenerator(screen, scene_parameters(spec, scale, pbuffer))
     scenes = [generator.generate(frame) for frame in range(frames)]
-    traces = [TilingEngine(scene, order, pbuffer).trace() for scene in scenes]
     background = BackgroundTrafficModel(spec, screen, scale=scale)
     return Workload(spec=spec, screen=screen, scale=scale, scenes=scenes,
-                    traces=traces, background=background)
+                    background=background, order=order, pbuffer=pbuffer)

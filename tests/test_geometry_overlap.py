@@ -96,18 +96,33 @@ class TestTilesOverlappedBy:
         tiles = tiles_overlapped_by(make_triangle(0, 20, 20, 60), screen)
         assert tiles == sorted(tiles)
 
+    def test_touching_tiles_bin_symmetrically(self, screen):
+        """A triangle that touches tiles only at its bounding box's low
+        edges bins to them, as its mirror image, which touches tiles
+        only at its high edges, does."""
+        low = Primitive(0, Vertex(32, 32), Vertex(40, 32), Vertex(32, 40))
+        high = Primitive(0, Vertex(64, 64), Vertex(56, 64), Vertex(64, 56))
+        assert tiles_overlapped_by(low, screen) == [0, 1, 4, 5]
+        assert tiles_overlapped_by(high, screen) == [5, 6, 9, 10]
+        for prim, tiles in ((low, [0, 1, 4, 5]), (high, [5, 6, 9, 10])):
+            assert tiles == [tile for tile in range(screen.num_tiles)
+                             if triangle_overlaps_rect(
+                                 prim, tile_rect(screen, tile))]
+
 
 def scalar_binning(prim: Primitive, screen: ScreenConfig) -> list[int]:
     """The reference binner: the scalar exact test on every tile of the
-    bounding box's tile range, as the binner was before it was batched."""
+    bounding box's closed tile range, which includes a tile that only
+    touches the box's low edge as it includes one that touches the high
+    edge."""
     bbox = prim.bounding_box()
     ts = screen.tile_size
     if bbox.max_x < 0 or bbox.max_y < 0:
         return []
     if bbox.min_x >= screen.width or bbox.min_y >= screen.height:
         return []
-    first_tx = max(0, int(bbox.min_x) // ts)
-    first_ty = max(0, int(bbox.min_y) // ts)
+    first_tx = max(0, math.ceil(bbox.min_x / ts) - 1)
+    first_ty = max(0, math.ceil(bbox.min_y / ts) - 1)
     last_tx = min(screen.tiles_x - 1, int(bbox.max_x) // ts)
     last_ty = min(screen.tiles_y - 1, int(bbox.max_y) // ts)
     return [tile for tile in range(screen.num_tiles)

@@ -366,7 +366,7 @@ class TestTraceStoreVersioning:
         with monkeypatch.context() as patch:
             patch.setattr(ir, "TRACE_IR_VERSION", 1)
             disk.put_trace(GTR, trace)
-        assert len(list(tmp_path.glob("trace-*.npz"))) == 1
+        assert len(list(tmp_path.glob("trace-*.ir"))) == 1
         # Today's reader must refuse it (miss), not replay garbage.
         assert disk.get_trace(GTR) is None
         assert disk.misses == 1
@@ -377,7 +377,7 @@ class TestTraceStoreVersioning:
         disk = DiskCache(tmp_path, trace_signature="tsig")
         snp = WorkloadIdentity(BENCHMARKS["Snp"], SCALE)
         disk.put_trace(snp, compile_trace(snp))
-        (archive,) = tmp_path.glob("trace-*.npz")
+        (archive,) = tmp_path.glob("trace-*.ir")
         data = archive.read_bytes()
         archive.write_bytes(data[:len(data) // 2])
         assert disk.get_trace(snp) is None
@@ -403,6 +403,122 @@ class TestTraceStoreVersioning:
         assert len(loaded.frames) == 3
         for frame, frame_loaded in zip(animated.frames, loaded.frames):
             assert list(frame.tile_sig) == list(frame_loaded.tile_sig)
+
+
+def _section_bounds(data: bytes) -> list[int]:
+    """Every section boundary of a stored trace file: the 12-byte
+    prefix (magic, header length), the JSON header, each array section
+    and the 4-byte CRC-32 trailer."""
+    import struct
+
+    (head_len,) = struct.unpack_from("<I", data, 8)
+    bounds = [8, 12, 12 + head_len]
+    header = json.loads(data[12:12 + head_len])
+    for _, dtype, count in header["sections"]:
+        bounds.append(bounds[-1] + int(dtype[1:]) * count)
+    assert bounds[-1] + 4 == len(data)
+    return bounds
+
+
+def _restamp(data: bytes, **changes) -> bytes:
+    """``data`` with its JSON header updated by ``changes`` and its
+    CRC-32 recomputed, so only the header's content is wrong."""
+    import struct
+    import zlib
+
+    (head_len,) = struct.unpack_from("<I", data, 8)
+    header = json.loads(data[12:12 + head_len])
+    header.update(changes)
+    head = json.dumps(header, sort_keys=True).encode()
+    body = (data[:8] + struct.pack("<I", len(head)) + head
+            + data[12 + head_len:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+class TestTraceStoreFaults:
+    """A stored trace that is truncated, bit-flipped, stamped with
+    another IR version or left behind by an older layout reads as a
+    clean miss, and the next compile overwrites it."""
+
+    @pytest.fixture(scope="class")
+    def good(self):
+        """GTr's compiled trace and its stored bytes."""
+        import io
+
+        from repro.replay import save_trace
+
+        trace = compile_trace(GTR)
+        buffer = io.BytesIO()
+        save_trace(buffer, trace)
+        return trace, buffer.getvalue()
+
+    def _assert_clean_miss(self, tmp_path, damaged: bytes, good) -> None:
+        from repro.api import WorkloadSource
+
+        trace, data = good
+        disk = DiskCache(tmp_path, trace_signature="tsig")
+        disk.put_trace(GTR, trace)
+        (path,) = tmp_path.glob("trace-*.ir")
+        assert path.read_bytes() == data
+        path.write_bytes(damaged)
+        assert disk.get_trace(GTR) is None
+        assert (disk.hits, disk.misses) == (0, 1)
+        # The next source recompiles (another miss) and overwrites it.
+        recompiled = WorkloadSource(GTR, store=disk).trace()
+        assert recompiled.num_accesses == trace.num_accesses
+        assert disk.misses == 2
+        assert path.read_bytes() == data
+        assert disk.get_trace(GTR) is not None
+
+    def test_truncated_at_every_section_boundary(self, tmp_path, good):
+        data = good[1]
+        bounds = _section_bounds(data)
+        assert len(bounds) == 3 + 8 + 21  # background + one frame
+        for index, cut in enumerate([0] + bounds):
+            self._assert_clean_miss(tmp_path / str(index), data[:cut], good)
+
+    def test_truncated_mid_payload(self, tmp_path, good):
+        data = good[1]
+        bounds = _section_bounds(data)
+        middle = (bounds[2] + bounds[-1]) // 2
+        assert middle not in bounds
+        self._assert_clean_miss(tmp_path, data[:middle], good)
+
+    @pytest.mark.parametrize("where", ["header", "payload", "checksum"])
+    def test_one_flipped_bit(self, tmp_path, good, where):
+        data = bytearray(good[1])
+        bounds = _section_bounds(bytes(data))
+        offset = {"header": (bounds[1] + bounds[2]) // 2,
+                  "payload": (bounds[2] + bounds[-1]) // 2,
+                  "checksum": len(data) - 2}[where]
+        data[offset] ^= 0x10
+        self._assert_clean_miss(tmp_path, bytes(data), good)
+
+    def test_stale_version_with_a_valid_checksum(self, tmp_path, good):
+        self._assert_clean_miss(tmp_path, _restamp(good[1], version=2),
+                                good)
+
+    def test_old_npz_archive_is_a_miss_and_is_counted(self, tmp_path,
+                                                      good):
+        from repro.api import WorkloadSource
+
+        trace, data = good
+        disk = DiskCache(tmp_path, trace_signature="tsig",
+                         trace_cache_bytes=len(data))
+        path = disk._trace_path(GTR)
+        old = path.with_suffix(".npz")
+        tmp_path.mkdir(exist_ok=True)
+        old.write_bytes(b"PK\x03\x04" + bytes(len(data)))
+        assert disk.get_trace(GTR) is None
+        assert (disk.hits, disk.misses) == (0, 1)
+        WorkloadSource(GTR, store=disk).trace()
+        assert path.read_bytes() == data
+        # The write pushed the store over its cap: the old archive
+        # counts toward it and is evicted, the new file is spared.
+        assert not old.exists()
+        old.write_bytes(b"PK\x03\x04")
+        assert disk.clear() == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPrefetchInterrupt:
