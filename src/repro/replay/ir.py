@@ -378,8 +378,6 @@ def lower_frame(scene: Scene,
     counts, tiles = scene.binning()
     nattr = np.fromiter((prim.num_attributes for prim in scene.primitives),
                         dtype=_I64, count=len(scene))
-    if (nattr <= 0).any():
-        raise ValueError("every primitive has at least one attribute")
     rank = _np(traversal_rank(screen, order))
     traversal = _np(tile_traversal(screen, order))
 

@@ -91,6 +91,10 @@ def frame_from_events(scene: Scene, trace) -> FrameIR:
             fetch["td_tile"].append(event.tile_id)
             fetch["td_rank"].append(event.tile_rank)
             fetch["td_fb"].append(1 if pb.list_length(event.tile_id) else 0)
+    # The signatures hash each tile's primitive list, which the scene
+    # derives from the binning arrays: it must match the PB-Lists.
+    assert scene.tile_lists() == [[slot.pmd.primitive_id for slot in slots]
+                                  for slots in pb.tile_lists]
     attrs = pb.attributes
     return FrameIR(
         **build, **fetch,
@@ -214,8 +218,9 @@ def _crowded_scene() -> Scene:
 
 
 class TestOverflow:
-    def test_same_overflow_error_on_both_paths(self):
-        pbuffer = ParameterBufferConfig(max_primitives_per_tile=3)
+    @pytest.mark.parametrize("limit", [1, 2, 4])
+    def test_same_overflow_error_on_both_paths(self, limit):
+        pbuffer = ParameterBufferConfig(max_primitives_per_tile=limit)
         scene = _crowded_scene()
         with pytest.raises(OverflowError) as live:
             TilingEngine(scene, TraversalOrder.Z_ORDER, pbuffer)

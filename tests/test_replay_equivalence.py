@@ -19,6 +19,8 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     SimulationConfig,
@@ -296,6 +298,47 @@ class TestRoundTrip:
                                  TILE_CACHE_BYTES})):
             _assert_results_equal("SoD", kernel(trace, **kwargs).result,
                                   kernel(loaded, **kwargs).result)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_int64_survives_the_file(self, data):
+        """Each section is stored in the narrowest integer dtype that
+        holds it; values at every dtype's limits come back unchanged."""
+        import numpy as np
+
+        from repro.replay import CompiledTrace, FrameIR, TraceHeader
+        from repro.replay.ir import _FRAME_FIELDS, _TRACE_FIELDS
+
+        limits = [-2 ** 63, -2 ** 31 - 1, -2 ** 15, -129, -1, 0, 127, 128,
+                  2 ** 15, 2 ** 31, 2 ** 63 - 1]
+        values = st.lists(st.one_of(
+            st.sampled_from(limits),
+            st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1)),
+            max_size=6)
+        frames = [FrameIR(**{name: data.draw(values)
+                             for name in _FRAME_FIELDS})
+                  for _ in range(data.draw(st.integers(0, 2)))]
+        header = TraceHeader(
+            alias="GTr", scale=0.05, num_tiles=2, num_primitives=1,
+            block_bytes=64, pmd_bytes=4, pmds_per_block=16,
+            lists_base=1, tile_list_bytes=4096, attribute_stride=64,
+            fb_writes_per_tile=1, l1_estimates={"vertex_l1": 3})
+        trace = CompiledTrace(header, frames, **{
+            name: np.array(data.draw(values), dtype=np.int64)
+            for name in _TRACE_FIELDS})
+        buffer = io.BytesIO()
+        save_trace(buffer, trace)
+        buffer.seek(0)
+        loaded = load_trace(buffer)
+        assert loaded.header.as_dict() == header.as_dict()
+        for name in _TRACE_FIELDS:
+            array = getattr(loaded, name)
+            assert array.dtype == np.int64
+            assert array.tolist() == getattr(trace, name).tolist()
+        assert len(loaded.frames) == len(frames)
+        for frame, back in zip(frames, loaded.frames):
+            for name in _FRAME_FIELDS:
+                assert getattr(back, name) == getattr(frame, name)
 
     def test_version_mismatch_fails_to_load(self, monkeypatch):
         workload = build_workload(BENCHMARKS["GTr"], scale=0.05)
